@@ -166,6 +166,26 @@ pub enum Event {
         /// Deepest branching recursion reached in the batch.
         max_depth: u64,
     },
+    /// The utility sweep of one select phase: the marginal utilities
+    /// `G(o, e)` that task selection evaluated (Definition 6). Each needs
+    /// one `Pr(φ ∧ e)` solve; the solves of a sweep share an ADPLL
+    /// component memo. Emitted once per select phase, all zero when the
+    /// phase selected nothing fresh.
+    UtilitySweep {
+        /// Marginal utilities evaluated.
+        evals: u64,
+        /// Solver invocations, including fallback re-solves.
+        solver_calls: u64,
+        /// Value-branching decisions taken by those invocations.
+        decisions: u64,
+        /// Component probabilities served from the solver cache or the
+        /// sweep memo.
+        cache_hits: u64,
+        /// Solves the configured solver failed and a fresh ADPLL redid.
+        fallbacks: u64,
+        /// Sweep wall-clock time.
+        nanos: u128,
+    },
     /// Crowd answers were propagated through the constraint store.
     Propagated {
         /// Answers folded in.
@@ -257,6 +277,7 @@ impl Event {
             Event::RoundStarted { .. } => "RoundStarted",
             Event::ProbabilityBatch { .. } => "ProbabilityBatch",
             Event::SolverSearch { .. } => "SolverSearch",
+            Event::UtilitySweep { .. } => "UtilitySweep",
             Event::Propagated { .. } => "Propagated",
             Event::RoundFinished { .. } => "RoundFinished",
             Event::SpanFinished { .. } => "SpanFinished",
@@ -275,6 +296,7 @@ impl Event {
             Event::ModelTrained { nanos, .. }
             | Event::CTableBuilt { nanos, .. }
             | Event::ProbabilityBatch { nanos, .. }
+            | Event::UtilitySweep { nanos, .. }
             | Event::Propagated { nanos, .. }
             | Event::RoundFinished { nanos, .. }
             | Event::SpanFinished { nanos, .. }
@@ -378,6 +400,21 @@ impl Event {
                 field_u(&mut s, "cache_hits", *cache_hits as u128);
                 field_u(&mut s, "cache_misses", *cache_misses as u128);
                 field_u(&mut s, "max_depth", *max_depth as u128);
+            }
+            Event::UtilitySweep {
+                evals,
+                solver_calls,
+                decisions,
+                cache_hits,
+                fallbacks,
+                nanos,
+            } => {
+                field_u(&mut s, "evals", *evals as u128);
+                field_u(&mut s, "solver_calls", *solver_calls as u128);
+                field_u(&mut s, "decisions", *decisions as u128);
+                field_u(&mut s, "cache_hits", *cache_hits as u128);
+                field_u(&mut s, "fallbacks", *fallbacks as u128);
+                field_u(&mut s, "nanos", *nanos);
             }
             Event::Propagated {
                 answers,
@@ -508,6 +545,14 @@ impl Event {
                 cache_hits: get_u64("cache_hits")?,
                 cache_misses: get_u64("cache_misses")?,
                 max_depth: get_u64("max_depth")?,
+            },
+            "UtilitySweep" => Event::UtilitySweep {
+                evals: get_u64("evals")?,
+                solver_calls: get_u64("solver_calls")?,
+                decisions: get_u64("decisions")?,
+                cache_hits: get_u64("cache_hits")?,
+                fallbacks: get_u64("fallbacks")?,
+                nanos: get_n("nanos")?,
             },
             "Propagated" => Event::Propagated {
                 answers: get_u("answers")?,
@@ -674,6 +719,14 @@ mod tests {
                 cache_hits: 2,
                 cache_misses: 5,
                 max_depth: 3,
+            },
+            Event::UtilitySweep {
+                evals: 12,
+                solver_calls: 13,
+                decisions: 40,
+                cache_hits: 9,
+                fallbacks: 1,
+                nanos: 4321,
             },
             Event::Propagated {
                 answers: 2,

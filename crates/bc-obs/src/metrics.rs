@@ -186,6 +186,18 @@ pub struct Counters {
     pub solver_fallbacks: u64,
     /// Durable checkpoints written.
     pub checkpoints_written: u64,
+    /// Marginal utilities evaluated by task selection. From
+    /// `UtilitySweep` events, like every `utility_*` counter; none of them
+    /// is part of the `solver_*` counters, which count probability batches.
+    pub utility_evals: u64,
+    /// Solver invocations behind those utilities (fallbacks included).
+    pub utility_solver_calls: u64,
+    /// Value-branching decisions of the utility solves.
+    pub utility_decisions: u64,
+    /// Component probabilities the utility solves took from a cache.
+    pub utility_cache_hits: u64,
+    /// Utility solves the ADPLL fallback redid.
+    pub utility_fallbacks: u64,
 }
 
 /// An [`Observer`] that aggregates the event stream in memory.
@@ -279,6 +291,15 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
+            "utility evals {}  solver calls {} (decisions {}, cache hits {}, fallbacks {})",
+            c.utility_evals,
+            c.utility_solver_calls,
+            c.utility_decisions,
+            c.utility_cache_hits,
+            c.utility_fallbacks
+        );
+        let _ = writeln!(
+            s,
             "propagated {} answers, {} conditions decided",
             c.answers_propagated, c.conditions_decided
         );
@@ -341,6 +362,20 @@ impl Observer for MetricsRecorder {
                 self.counters.solver_component_splits += component_splits;
                 self.counters.solver_cache_misses += cache_misses;
                 self.counters.solver_max_depth = self.counters.solver_max_depth.max(*max_depth);
+            }
+            Event::UtilitySweep {
+                evals,
+                solver_calls,
+                decisions,
+                cache_hits,
+                fallbacks,
+                ..
+            } => {
+                self.counters.utility_evals += evals;
+                self.counters.utility_solver_calls += solver_calls;
+                self.counters.utility_decisions += decisions;
+                self.counters.utility_cache_hits += cache_hits;
+                self.counters.utility_fallbacks += fallbacks;
             }
             Event::Propagated {
                 answers,
@@ -500,6 +535,40 @@ mod tests {
         assert_eq!(rec.propagation_depth().max(), 3);
         assert_eq!(rec.events().len(), 7);
         assert!(rec.summary().contains("posted 2"));
+    }
+
+    #[test]
+    fn utility_sweeps_have_their_own_counters() {
+        let mut rec = MetricsRecorder::new();
+        for _ in 0..2 {
+            rec.event(&Event::UtilitySweep {
+                evals: 5,
+                solver_calls: 6,
+                decisions: 40,
+                cache_hits: 7,
+                fallbacks: 1,
+                nanos: 900,
+            });
+        }
+        let c = rec.counters();
+        assert_eq!(
+            (
+                c.utility_evals,
+                c.utility_solver_calls,
+                c.utility_decisions,
+                c.utility_cache_hits,
+                c.utility_fallbacks
+            ),
+            (10, 12, 80, 14, 2)
+        );
+        // The probability-batch counters and the phase times are untouched:
+        // the sweep's time is part of the select span that encloses it.
+        assert_eq!(c.solver_calls, 0);
+        assert_eq!(c.solver_branches, 0);
+        assert_eq!(c.solver_cache_hits, 0);
+        assert_eq!(c.solver_fallbacks, 0);
+        assert_eq!(rec.attributed_nanos(), 0);
+        assert!(rec.summary().contains("utility evals 10"));
     }
 
     #[test]

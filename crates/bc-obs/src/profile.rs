@@ -446,8 +446,10 @@ fn solve_path(phase: RunPhase) -> String {
 /// │   └── build        (CTableBuilt)
 /// ├── round            (RoundFinished; count = rounds)
 /// │   ├── select       (SpanFinished, summed over rounds)
-/// │   │   └── solve    (ProbabilityBatch; count = solver calls)
-/// │   │       └── adpll  (SolverSearch; count = decisions, nanos 0)
+/// │   │   ├── solve    (ProbabilityBatch; count = solver calls)
+/// │   │   │   └── adpll  (SolverSearch; count = decisions, nanos 0)
+/// │   │   └── utility  (UtilitySweep; count = utility evals)
+/// │   │       └── adpll  (count = decisions, nanos 0)
 /// │   ├── post
 /// │   └── propagate
 /// │       └── fixpoint (Propagated)
@@ -510,6 +512,17 @@ impl Observer for RunProfiler {
             } => {
                 let path = format!("{}/adpll", solve_path(*phase));
                 self.profiler.record_with(&path, 0, *decisions);
+            }
+            Event::UtilitySweep {
+                evals,
+                decisions,
+                nanos,
+                ..
+            } => {
+                self.profiler
+                    .record_with("round/select/utility", *nanos, *evals);
+                self.profiler
+                    .record_with("round/select/utility/adpll", 0, *decisions);
             }
             Event::Propagated { nanos, .. } => {
                 self.profiler.record("round/propagate/fixpoint", *nanos);
@@ -647,6 +660,14 @@ mod tests {
             cache_misses: 4,
             max_depth: 3,
         });
+        rp.event(&Event::UtilitySweep {
+            evals: 11,
+            solver_calls: 11,
+            decisions: 30,
+            cache_hits: 4,
+            fallbacks: 0,
+            nanos: 300,
+        });
         rp.event(&Event::RoundFinished {
             round: 1,
             posted: 2,
@@ -678,6 +699,10 @@ mod tests {
         let adpll = r.node("round/select/solve/adpll").unwrap();
         assert_eq!(adpll.count, 9);
         assert_eq!(adpll.nanos, 0);
+        let utility = r.node("round/select/utility").unwrap();
+        assert_eq!((utility.count, utility.nanos), (11, 300));
+        let utility_adpll = r.node("round/select/utility/adpll").unwrap();
+        assert_eq!((utility_adpll.count, utility_adpll.nanos), (30, 0));
         let text = r.render_text();
         assert!(text.contains("adpll"), "text: {text}");
     }

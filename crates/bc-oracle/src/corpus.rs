@@ -104,8 +104,11 @@ pub fn regression_instances() -> Vec<Instance> {
 
 /// Generator seeds for the committed random part of the corpus — shapes
 /// that exercised interesting paths (multiple missing cells on one object,
-/// single-attribute data, zero missing cells).
-pub const GENERATED_SEEDS: [u64; 6] = [3, 12, 17, 42, 99, 2024];
+/// single-attribute data, zero missing cells). The last three were picked
+/// from the first 20,000 seeds for the utility check: they have the most
+/// expressions with a marginal utility above 10⁻³, in conditions where a
+/// variable appears in more than one clause.
+pub const GENERATED_SEEDS: [u64; 9] = [3, 12, 17, 42, 99, 2024, 3343, 5195, 10662];
 
 #[cfg(test)]
 mod tests {

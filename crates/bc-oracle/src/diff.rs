@@ -15,7 +15,12 @@
 //! * **naive model counts** — [`bc_solver::ModelCount`] internals must be
 //!   coherent (satisfying ≤ states, weight = probability),
 //! * **Monte Carlo** — must land within `mc_sigma` binomial standard
-//!   errors of the oracle (plus a small floor for `p ≈ 0, 1`).
+//!   errors of the oracle (plus a small floor for `p ≈ 0, 1`),
+//! * **marginal utilities** — task selection's one-solve `G(o, e)`, in one
+//!   sweep with a shared memo, must match the exact utility from the worlds
+//!   ([`crate::utility`]) to [`DiffConfig::eps`] for every expression of
+//!   every open condition, and the UBS choice must have the largest exact
+//!   utility.
 //!
 //! On the first failure the harness returns a [`Divergence`];
 //! [`minimize_divergence`] then greedily shrinks the instance — dropping
@@ -24,13 +29,18 @@
 //! seed corpus.
 
 use crate::gen::Instance;
+use crate::utility::exact_utilities;
 use crate::worlds::PossibleWorlds;
 use crate::{prob_close, OracleError};
+use bayescrowd::strategy::{select_expression, Sweep};
+use bayescrowd::TaskStrategy;
 use bc_bayes::Pmf;
 use bc_ctable::{build_ctable, CTable, CTableConfig, DominatorStrategy};
 use bc_data::{Dataset, ObjectId, VarId};
-use bc_solver::{AdpllSolver, ApproxCountSolver, MonteCarloSolver, NaiveSolver, Solver};
-use std::collections::BTreeMap;
+use bc_solver::{
+    AdpllSolver, ApproxCountSolver, MonteCarloSolver, NaiveSolver, Solver, SolverError, VarDists,
+};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// Tolerances and budgets for one differential check.
@@ -79,7 +89,8 @@ pub struct Divergence {
     /// The instance that produced it.
     pub instance: Instance,
     /// Which check failed (`"ctable"`, `"adpll"`, `"naive"`,
-    /// `"naive-count"`, `"approxcount"`, `"montecarlo"`, `"oracle"`).
+    /// `"naive-count"`, `"approxcount"`, `"montecarlo"`, `"utility"`,
+    /// `"selection"`, `"oracle"`).
     pub solver: String,
     /// The object whose probability diverged.
     pub object: ObjectId,
@@ -288,6 +299,7 @@ pub fn check_instance(
         }
         verdict?;
     }
+    check_utilities(inst, cfg, &ctable, &dists)?;
 
     Ok(InstanceSummary {
         name: inst.name.clone(),
@@ -295,6 +307,77 @@ pub fn check_instance(
         n_worlds: report.n_worlds,
         oracle,
     })
+}
+
+/// Task selection's utilities and UBS choices against the exact ones.
+fn check_utilities(
+    inst: &Instance,
+    cfg: &DiffConfig,
+    ctable: &CTable,
+    dists: &VarDists,
+) -> Result<(), Box<Divergence>> {
+    let exact = exact_utilities(
+        &PossibleWorlds::with_limit(cfg.max_worlds),
+        &inst.data,
+        &inst.pmfs,
+        ctable,
+    )
+    .map_err(|e| oracle_failure(inst, e))?;
+    let diverge = |check: &str, o: ObjectId, got: f64, want: f64, detail: String| {
+        Box::new(Divergence {
+            instance: inst.clone(),
+            solver: check.into(),
+            object: o,
+            got,
+            want,
+            tolerance: cfg.eps,
+            detail,
+        })
+    };
+    let solver_error =
+        |o: ObjectId, e: SolverError| diverge("utility", o, f64::NAN, f64::NAN, e.to_string());
+    let adpll = AdpllSolver::new();
+    let mut sweep = Sweep::new(&adpll, &adpll, dists);
+    for o in ctable.open_objects() {
+        let cond = ctable.condition(o);
+        let p_phi = adpll
+            .probability(cond, dists)
+            .map_err(|e| solver_error(o, e))?;
+        let mut best = f64::NEG_INFINITY;
+        for (&(_, e), &want) in exact.iter().filter(|((p, _), _)| *p == o) {
+            let got = sweep
+                .utility(cond, &e, p_phi)
+                .map_err(|err| solver_error(o, err))?;
+            if !prob_close(got, want, cfg.eps) {
+                return Err(diverge("utility", o, got, want, format!("G(o, {e})")));
+            }
+            best = best.max(want);
+        }
+        let chosen = select_expression(
+            TaskStrategy::Ubs,
+            cond,
+            &HashMap::new(),
+            &BTreeSet::new(),
+            &mut sweep,
+            p_phi,
+        )
+        .map_err(|err| solver_error(o, err))?;
+        // Each computed utility may sit `eps` off its exact value, so a
+        // near-tie may pick a candidate up to `2 · eps` below the best.
+        if let Some(e) = chosen {
+            let want = exact[&(o, e)];
+            if want < best - 2.0 * cfg.eps {
+                return Err(diverge(
+                    "selection",
+                    o,
+                    want,
+                    best,
+                    format!("UBS chose {e}, more than 2·eps below the largest exact utility"),
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// `inst` without object `o` (variable ids re-point at the shifted rows).

@@ -24,6 +24,8 @@
 //! * [`corpus`] — the handcrafted regression instances folded in from the
 //!   recorded `*.proptest-regressions` cases, plus the generator seeds of
 //!   the committed random corpus,
+//! * [`utility`] — the exact marginal utility `G(o, e)` of every open
+//!   object and candidate expression, tallied over the worlds,
 //! * [`metamorphic`] — run-level invariants: constraint propagation
 //!   preserves model counts, preference-direction reflection preserves
 //!   skyline probabilities, certain answers grow monotonically, and
@@ -39,6 +41,7 @@ pub mod diff;
 pub mod gen;
 pub mod metamorphic;
 pub mod replay;
+pub mod utility;
 pub mod worlds;
 
 pub use corpus::{regression_instances, GENERATED_SEEDS};

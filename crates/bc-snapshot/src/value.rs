@@ -164,6 +164,7 @@ impl Value {
     /// attaches the line number.
     pub fn parse(input: &str) -> Result<Value, String> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -195,7 +196,11 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// A cursor over the input. `pos` only ever advances past ASCII bytes or
+/// past whole runs of string contents, so it always sits on a character
+/// boundary of `src`.
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -284,47 +289,39 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| "invalid utf-8 in string".to_string())?;
-            let mut chars = rest.char_indices();
-            match chars.next() {
-                None => return Err("unterminated string".into()),
-                Some((_, '"')) => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some((_, '\\')) => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code).ok_or("\\u escape is not a scalar value")?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err("unknown escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some((i, c)) => {
-                    out.push(c);
-                    self.pos += i + c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash in one go.
+            let rest = &self.src[self.pos..];
+            let run = rest
+                .find(['"', '\\'])
+                .ok_or_else(|| "unterminated string".to_string())?;
+            out.push_str(&rest[..run]);
+            self.pos += run;
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
+                    out.push(char::from_u32(code).ok_or("\\u escape is not a scalar value")?);
+                    self.pos += 4;
+                }
+                _ => return Err("unknown escape".into()),
+            }
+            self.pos += 1;
         }
     }
 
@@ -485,5 +482,60 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn escapes_and_multi_byte_characters_round_trip() {
+        for text in [
+            "",
+            "\"",
+            "\\",
+            "ends in an escape\n",
+            "\u{1}\u{1f} control characters",
+            "é at the start, ü in the middle, ß at the end",
+            "日本語のテキスト",
+            "🦀\"🦀\\🦀\n🦀",
+            "α\u{7}β",
+        ] {
+            let v = Value::Str(text.to_string());
+            assert_eq!(round_trip(&v), v);
+            let key = Value::Map(vec![(text.to_string(), Value::Int(1))]);
+            assert_eq!(round_trip(&key), key);
+        }
+    }
+
+    #[test]
+    fn every_escape_the_reader_accepts_decodes() {
+        assert_eq!(
+            Value::parse(r#""a\/b\u00e9\u0041\u00e9é\t""#).unwrap(),
+            Value::Str("a/béAéé\t".into())
+        );
+        assert_eq!(
+            Value::parse(r#""\"\\\r\n""#).unwrap(),
+            Value::Str("\"\\\r\n".into())
+        );
+    }
+
+    #[test]
+    fn malformed_strings_are_rejected() {
+        for bad in [
+            "\"é",
+            "\"trailing backslash \\",
+            "\"\\u12\"",
+            "\"\\u00é\"",
+            "\"\\ud800\"",
+            "\"🦀\\x\"",
+        ] {
+            assert!(Value::parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse() {
+        // Long enough that re-scanning the rest of the input per character
+        // would take minutes.
+        let text = "0123456789abcdé🦀\"\\".repeat(20_000);
+        let v = Value::List(vec![Value::Str(text.clone()), Value::Str(text)]);
+        assert_eq!(round_trip(&v), v);
     }
 }

@@ -17,6 +17,7 @@ use bc_ctable::{Clause, Condition};
 use bc_data::VarId;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// Which variable to branch on when a component is correlated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -113,7 +114,9 @@ impl std::ops::AddAssign for SolveStats {
 /// Beame & Kautz — reference \[32\] of the paper). Sibling branches whose
 /// substitutions collapse to the same residual component are then solved
 /// once. Caching is sound per call because the distributions are fixed for
-/// its duration; it is cleared between calls.
+/// its duration; it is cleared between calls. A caller that runs many
+/// solves against the same distributions can keep the cache alive across
+/// them with a [`SweepMemo`] and [`Solver::probability_in_sweep`].
 #[derive(Clone, Debug)]
 pub struct AdpllSolver {
     heuristic: BranchHeuristic,
@@ -214,8 +217,7 @@ impl AdpllSolver {
             // Shared variables inside one clause: treat it as a one-clause
             // condition and branch.
             let cond = Condition::from_clauses(vec![clause.exprs().to_vec()]);
-            let mut cache = HashMap::new();
-            self.branch(&cond, dists, &mut cache)
+            self.branch(&cond, dists, &mut ComponentCache::default())
         }
     }
 
@@ -230,7 +232,7 @@ impl AdpllSolver {
         &self,
         cond: &Condition,
         dists: &VarDists,
-        cache: &mut HashMap<Condition, f64>,
+        cache: &mut ComponentCache,
     ) -> Result<f64, SolverError> {
         let v = self
             .pick_branch_var(cond)
@@ -260,7 +262,7 @@ impl AdpllSolver {
         &self,
         cond: &Condition,
         dists: &VarDists,
-        cache: &mut HashMap<Condition, f64>,
+        cache: &mut ComponentCache,
     ) -> Result<f64, SolverError> {
         let clauses = match cond {
             Condition::True => return Ok(1.0),
@@ -279,24 +281,25 @@ impl AdpllSolver {
                 self.direct.set(self.direct.get() + 1);
                 self.clause_probability(comp[0], dists)?
             } else {
-                let cond = Condition::from_clauses(comp.iter().map(|c| c.exprs().to_vec()));
-                match &cond {
-                    Condition::True => 1.0,
-                    Condition::False => 0.0,
-                    Condition::Cnf(_) => {
-                        if self.caching {
-                            if let Some(&hit) = cache.get(&cond) {
-                                self.cache_hits.set(self.cache_hits.get() + 1);
-                                hit
-                            } else {
+                let key = self.caching.then(|| fingerprint(&comp));
+                match key.and_then(|key| cache.get(key, &comp)) {
+                    Some(hit) => {
+                        self.cache_hits.set(self.cache_hits.get() + 1);
+                        hit
+                    }
+                    None => {
+                        let cond = Condition::from_clauses(comp.iter().map(|c| c.exprs().to_vec()));
+                        match &cond {
+                            Condition::True => 1.0,
+                            Condition::False => 0.0,
+                            Condition::Cnf(_) => {
                                 self.cache_misses.set(self.cache_misses.get() + 1);
                                 let p = self.branch(&cond, dists, cache)?;
-                                cache.insert(cond, p);
+                                if let Some(key) = key {
+                                    cache.insert(key, cond, p);
+                                }
                                 p
                             }
-                        } else {
-                            self.cache_misses.set(self.cache_misses.get() + 1);
-                            self.branch(&cond, dists, cache)?
                         }
                     }
                 }
@@ -307,6 +310,93 @@ impl AdpllSolver {
             }
         }
         Ok(total.clamp(0.0, 1.0))
+    }
+}
+
+/// Solved component probabilities, keyed by [`fingerprint`]. Each entry
+/// keeps its component, and a lookup compares it clause by clause with the
+/// query, so a fingerprint collision is a miss, never a wrong answer. The
+/// map keeps the default randomly keyed hasher: fingerprints derive from
+/// the input data.
+#[derive(Debug, Default)]
+struct ComponentCache {
+    entries: HashMap<u64, (Condition, f64)>,
+}
+
+impl ComponentCache {
+    fn get(&self, key: u64, comp: &[&Clause]) -> Option<f64> {
+        let (cond, p) = self.entries.get(&key)?;
+        cond.clauses().iter().eq(comp.iter().copied()).then_some(*p)
+    }
+
+    fn insert(&mut self, key: u64, cond: Condition, p: f64) {
+        self.entries.insert(key, (cond, p));
+    }
+}
+
+/// The canonical 64-bit fingerprint of a component: a fixed-key hash of
+/// its clauses in order, so equal components always get equal keys and
+/// the lookup needs no `Condition` built or cloned.
+fn fingerprint(comp: &[&Clause]) -> u64 {
+    let mut h = DefaultHasher::new();
+    comp.hash(&mut h);
+    h.finish()
+}
+
+/// Component probabilities shared by every ADPLL solve of one sweep over
+/// fixed distributions — the memo of a task-selection sweep, whose
+/// `Pr(φ ∧ e)` queries share every component of `φ` that does not touch
+/// `e`'s variables.
+///
+/// The memo borrows the distributions it was built for, so the borrow
+/// checker rules out updating them while it is alive: a stale entry cannot
+/// outlive the distributions it was computed from. A solver built without
+/// caching ignores the memo.
+///
+/// ```
+/// use bc_bayes::Pmf;
+/// use bc_ctable::{Condition, Expr};
+/// use bc_data::VarId;
+/// use bc_solver::{AdpllSolver, Solver, SweepMemo, VarDists};
+///
+/// let (x, y) = (VarId::new(0, 0), VarId::new(1, 0));
+/// let phi = Condition::from_clauses(vec![
+///     vec![Expr::lt(x, 2)],
+///     vec![Expr::gt(x, 0), Expr::lt(y, 2)],
+/// ]);
+/// let dists: VarDists = [(x, Pmf::uniform(4)), (y, Pmf::uniform(4))]
+///     .into_iter()
+///     .collect();
+/// let solver = AdpllSolver::new();
+/// let mut memo = SweepMemo::new(&dists);
+/// let (first, _) = solver.probability_in_sweep(&phi, &mut memo).unwrap();
+/// let (again, stats) = solver.probability_in_sweep(&phi, &mut memo).unwrap();
+/// assert_eq!(first.to_bits(), again.to_bits());
+/// assert_eq!((stats.branches, stats.cache_hits), (0, 1));
+/// ```
+#[derive(Debug)]
+pub struct SweepMemo<'d> {
+    dists: &'d VarDists,
+    cache: ComponentCache,
+}
+
+impl<'d> SweepMemo<'d> {
+    /// An empty memo over `dists`.
+    pub fn new(dists: &'d VarDists) -> SweepMemo<'d> {
+        SweepMemo {
+            dists,
+            cache: ComponentCache::default(),
+        }
+    }
+
+    /// The distributions every solve in this sweep runs against.
+    pub fn dists(&self) -> &'d VarDists {
+        self.dists
+    }
+
+    /// Whether nothing has been memoized yet.
+    pub fn is_empty(&self) -> bool {
+        self.cache.entries.is_empty()
     }
 }
 
@@ -349,8 +439,7 @@ fn connected_components(clauses: &[Clause]) -> Vec<Vec<&Clause>> {
 
 impl Solver for AdpllSolver {
     fn probability(&self, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
-        let mut cache = HashMap::new();
-        self.solve(cond, dists, &mut cache)
+        self.solve(cond, dists, &mut ComponentCache::default())
     }
 
     fn probability_with_stats(
@@ -360,6 +449,16 @@ impl Solver for AdpllSolver {
     ) -> Result<(f64, SolveStats), SolverError> {
         let before = self.stats();
         let p = self.probability(cond, dists)?;
+        Ok((p, self.stats().since(&before)))
+    }
+
+    fn probability_in_sweep(
+        &self,
+        cond: &Condition,
+        memo: &mut SweepMemo<'_>,
+    ) -> Result<(f64, SolveStats), SolverError> {
+        let before = self.stats();
+        let p = self.solve(cond, memo.dists, &mut memo.cache)?;
         Ok((p, self.stats().since(&before)))
     }
 
@@ -583,5 +682,80 @@ mod tests {
             AdpllSolver::new().probability(&cond, &d),
             Err(SolverError::MissingDistribution(_))
         ));
+    }
+
+    /// Conditions `φ ∧ e` for each expression `e` of a correlated `φ` —
+    /// the queries of one selection sweep.
+    fn sweep_queries() -> (Vec<Condition>, VarDists) {
+        let phi = Condition::from_clauses(vec![
+            vec![Expr::lt(v(0, 0), 5), Expr::lt(v(1, 0), 3)],
+            vec![Expr::gt(v(0, 0), 1), Expr::gt(v(2, 0), 6)],
+            vec![Expr::gt(v(1, 0), 2), Expr::lt(v(2, 0), 8)],
+            vec![Expr::lt(v(3, 0), 4), Expr::gt(v(4, 0), 2)],
+            vec![Expr::gt(v(3, 0), 1), Expr::lt(v(4, 0), 7)],
+        ]);
+        let d: VarDists = (0..5).map(|o| (v(o, 0), Pmf::uniform(10))).collect();
+        let queries = phi.exprs().map(|e| phi.and_expr(*e)).collect();
+        (queries, d)
+    }
+
+    #[test]
+    fn sweep_memo_is_bit_identical_to_per_call_solves_and_saves_work() {
+        let (queries, d) = sweep_queries();
+        let per_call = AdpllSolver::new();
+        let swept = AdpllSolver::new();
+        let mut memo = SweepMemo::new(&d);
+        for q in &queries {
+            let want = per_call.probability(q, &d).unwrap();
+            let (got, _) = swept.probability_in_sweep(q, &mut memo).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{q:?}");
+        }
+        assert!(!memo.is_empty());
+        // Components shared between queries are solved once.
+        let (swept, per_call) = (swept.stats(), per_call.stats());
+        assert!(swept.cache_misses < per_call.cache_misses, "{swept:?}");
+        assert!(swept.branches < per_call.branches, "{swept:?}");
+    }
+
+    #[test]
+    fn solvers_without_caching_ignore_the_sweep_memo() {
+        let (queries, d) = sweep_queries();
+        let uncached = AdpllSolver::new().with_caching(false);
+        let mut memo = SweepMemo::new(&d);
+        for q in &queries {
+            let (got, stats) = uncached.probability_in_sweep(q, &mut memo).unwrap();
+            let want = AdpllSolver::new().probability(q, &d).unwrap();
+            assert!((got - want).abs() < 1e-12);
+            assert_eq!(stats.cache_hits, 0);
+        }
+        assert!(memo.is_empty());
+    }
+
+    #[test]
+    fn a_fingerprint_collision_is_a_miss() {
+        let a = Condition::from_clauses(vec![
+            vec![Expr::lt(v(0, 0), 2)],
+            vec![Expr::gt(v(0, 0), 0), Expr::lt(v(1, 0), 2)],
+        ]);
+        let b = Condition::from_clauses(vec![
+            vec![Expr::lt(v(0, 0), 3)],
+            vec![Expr::gt(v(0, 0), 0), Expr::lt(v(1, 0), 2)],
+        ]);
+        fn comp(c: &Condition) -> Vec<&Clause> {
+            c.clauses().iter().collect()
+        }
+        let (ca, cb) = (comp(&a), comp(&b));
+        let key_a = fingerprint(&ca);
+        assert_eq!(
+            key_a,
+            fingerprint(&comp(&a.clone())),
+            "keys are reproducible"
+        );
+        assert_ne!(key_a, fingerprint(&cb));
+        let mut cache = ComponentCache::default();
+        // Store b under a's key, as if the two collided.
+        cache.insert(key_a, b.clone(), 0.25);
+        assert_eq!(cache.get(key_a, &ca), None);
+        assert_eq!(cache.get(key_a, &cb), Some(0.25));
     }
 }

@@ -24,7 +24,7 @@ pub mod montecarlo;
 pub mod naive;
 pub mod utility;
 
-pub use adpll::{AdpllSolver, BranchHeuristic, SolveStats};
+pub use adpll::{AdpllSolver, BranchHeuristic, SolveStats, SweepMemo};
 pub use approxcount::ApproxCountSolver;
 pub use dists::VarDists;
 pub use montecarlo::MonteCarloSolver;
@@ -79,6 +79,21 @@ pub trait Solver {
         dists: &VarDists,
     ) -> Result<(f64, SolveStats), SolverError> {
         Ok((self.probability(cond, dists)?, SolveStats::default()))
+    }
+
+    /// [`Solver::probability_with_stats`] as one solve of a sweep over the
+    /// memo's distributions: solvers that can share work between the
+    /// solves of a sweep (like [`AdpllSolver`], through its component
+    /// cache) keep it in `memo`. The result must not depend on what the
+    /// memo holds.
+    ///
+    /// The default implementation ignores the memo and solves per call.
+    fn probability_in_sweep(
+        &self,
+        cond: &Condition,
+        memo: &mut SweepMemo<'_>,
+    ) -> Result<(f64, SolveStats), SolverError> {
+        self.probability_with_stats(cond, memo.dists())
     }
 
     /// Short name for reports.

@@ -16,8 +16,8 @@ pub fn object_entropy(p: f64) -> f64 {
 ///
 /// `Pr(e)` comes from the variable distributions; the conditional
 /// probabilities are computed exactly as `Pr(φ ∧ e) / Pr(e)` and
-/// `Pr(φ ∧ ¬e) / Pr(¬e)`. When `e` is (probabilistically) already decided,
-/// the utility is zero.
+/// `Pr(φ ∧ ¬e) / Pr(¬e)`, with `Pr(φ ∧ ¬e) = Pr(φ) − Pr(φ ∧ e)`. When `e` is
+/// (probabilistically) already decided, the utility is zero.
 pub fn marginal_utility(
     solver: &dyn Solver,
     cond: &Condition,
@@ -37,17 +37,35 @@ pub fn marginal_utility_with_prior(
     dists: &VarDists,
     p_phi: f64,
 ) -> Result<f64, SolverError> {
+    marginal_utility_by(cond, e, dists, p_phi, |joint| {
+        solver.probability(joint, dists)
+    })
+}
+
+/// [`marginal_utility_with_prior`] with the one solve it needs, `Pr(φ ∧ e)`,
+/// left to `solve_joint` — so a caller can route it through a sweep memo or
+/// a fallback solver. `solve_joint` is not called when `e` is already
+/// (probabilistically) decided.
+///
+/// `Pr(φ ∧ ¬e)` is not solved: `e` and `¬e` partition `φ`, so it is exactly
+/// `Pr(φ) − Pr(φ ∧ e)` (clamped at zero against rounding).
+pub fn marginal_utility_by(
+    cond: &Condition,
+    e: &Expr,
+    dists: &VarDists,
+    p_phi: f64,
+    solve_joint: impl FnOnce(&Condition) -> Result<f64, SolverError>,
+) -> Result<f64, SolverError> {
     let p_e = dists.expr_prob(e)?;
-    let h = object_entropy(p_phi);
     if p_e <= f64::EPSILON || p_e >= 1.0 - f64::EPSILON {
         return Ok(0.0);
     }
-    let p_and_true = solver.probability(&cond.and_expr(*e), dists)?;
-    let p_and_false = solver.probability(&cond.and_expr(e.negated()), dists)?;
+    let p_and_true = solve_joint(&cond.and_expr(*e))?;
+    let p_and_false = (p_phi - p_and_true).max(0.0);
     let p_true = (p_and_true / p_e).clamp(0.0, 1.0);
     let p_false = (p_and_false / (1.0 - p_e)).clamp(0.0, 1.0);
     let expected = p_e * binary_entropy(p_true) + (1.0 - p_e) * binary_entropy(p_false);
-    Ok((h - expected).max(0.0))
+    Ok((object_entropy(p_phi) - expected).max(0.0))
 }
 
 #[cfg(test)]
@@ -134,6 +152,35 @@ mod tests {
             let g = marginal_utility(&s, &cond, e, &d).unwrap();
             assert!(g <= h + 1e-9, "G={g} exceeds H={h}");
             assert!(g >= 0.0);
+        }
+    }
+
+    #[test]
+    fn one_solve_matches_the_two_solve_formula() {
+        // Correlated clauses: asking x changes both clauses.
+        let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
+        let cond = Condition::from_clauses(vec![
+            vec![Expr::lt(x, 4), Expr::gt(y, 5)],
+            vec![Expr::gt(x, 1), Expr::lt(z, 3)],
+            vec![Expr::var_gt(y, z)],
+        ]);
+        let d: VarDists = [
+            (x, Pmf::from_probs(vec![0.1, 0.2, 0.3, 0.1, 0.1, 0.2])),
+            (y, Pmf::uniform(8)),
+            (z, Pmf::uniform(6)),
+        ]
+        .into_iter()
+        .collect();
+        let s = AdpllSolver::new();
+        let p_phi = s.probability(&cond, &d).unwrap();
+        for e in cond.exprs() {
+            let p_e = d.expr_prob(e).unwrap();
+            let p_t = s.probability(&cond.and_expr(*e), &d).unwrap() / p_e;
+            let p_f = s.probability(&cond.and_expr(e.negated()), &d).unwrap() / (1.0 - p_e);
+            let two = object_entropy(p_phi)
+                - (p_e * binary_entropy(p_t) + (1.0 - p_e) * binary_entropy(p_f));
+            let one = marginal_utility_with_prior(&s, &cond, e, &d, p_phi).unwrap();
+            assert!((one - two.max(0.0)).abs() < 1e-12, "{e}: {one} vs {two}");
         }
     }
 }

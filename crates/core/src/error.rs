@@ -27,6 +27,11 @@ pub enum RunError {
     /// Writing or restoring a checkpoint failed (I/O, corruption, or a
     /// snapshot that does not belong to this run).
     Snapshot(SnapshotErrorShared),
+    /// A parallel probability worker panicked.
+    WorkerPanicked {
+        /// The panic message, when it was a string.
+        message: String,
+    },
 }
 
 /// [`SnapshotError`] wrapped for `RunError`, which is `Clone` while
@@ -45,6 +50,9 @@ impl fmt::Display for RunError {
                 report.crowd.tasks_posted, report.open_exprs_left
             ),
             RunError::Snapshot(e) => write!(f, "checkpoint failed: {e}"),
+            RunError::WorkerPanicked { message } => {
+                write!(f, "probability worker panicked: {message}")
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 use crate::config::BayesCrowdConfig;
 use crate::error::RunError;
 use crate::report::RunReport;
-use crate::session::Session;
+use crate::session::{solve_batch, Session};
 use bc_bayes::MissingValueModel;
 use bc_crowd::CrowdPlatform;
 use bc_ctable::{build_ctable, CTable, CmpOp, Relation};
@@ -139,23 +139,33 @@ pub(crate) fn expr_truth(op: CmpOp, rel: Relation) -> bool {
 
 /// Convenience used by tests and examples: the answer set a machine-only
 /// pass would return (no crowdsourcing at all) — certain answers plus
-/// high-probability open objects.
-pub fn machine_only_answers(data: &Dataset, config: &BayesCrowdConfig) -> (Vec<ObjectId>, CTable) {
+/// high-probability open objects. Probabilities go through the run's
+/// probability batch, with its ADPLL fallback; an error the fallback cannot
+/// fix is returned.
+pub fn machine_only_answers(
+    data: &Dataset,
+    config: &BayesCrowdConfig,
+) -> Result<(Vec<ObjectId>, CTable), RunError> {
     let model = MissingValueModel::learn(data, &config.model);
     let dists: VarDists = model.pmfs().iter().map(|(k, v)| (*k, v.clone())).collect();
     let ctable = build_ctable(data, &config.ctable_config());
     let solver = config.build_solver();
+    let (probs, ..) = solve_batch(
+        config,
+        &ctable,
+        &ctable.open_objects(),
+        solver.as_ref(),
+        &dists,
+    )?;
     let mut result = ctable.certain_answers();
-    for o in ctable.open_objects() {
-        let p = solver
-            .probability(ctable.condition(o), &dists)
-            .unwrap_or(0.0);
-        if p > config.answer_threshold {
-            result.push(o);
-        }
-    }
+    result.extend(
+        probs
+            .into_iter()
+            .filter(|&(_, p)| p > config.answer_threshold)
+            .map(|(o, _)| o),
+    );
     result.sort_unstable();
-    (result, ctable)
+    Ok((result, ctable))
 }
 
 #[cfg(test)]
@@ -307,7 +317,8 @@ mod tests {
     #[test]
     fn machine_only_pass_returns_probable_answers() {
         let data = paper_dataset();
-        let (answers, ctable) = machine_only_answers(&data, &sample_config(TaskStrategy::Fbs));
+        let (answers, ctable) =
+            machine_only_answers(&data, &sample_config(TaskStrategy::Fbs)).unwrap();
         // o2, o3 certain; o1 and o5 have probability > 0.5 under uniform-ish
         // priors (φ(o1) ≈ 0.9+, φ(o5) ≈ 0.8).
         assert!(answers.contains(&ObjectId(1)));

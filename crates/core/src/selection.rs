@@ -1,12 +1,13 @@
 //! Per-round object ranking and conflict-free task assembly (the two steps
 //! of Section 6.2).
 
-use crate::strategy::{expression_frequencies, select_expression, TaskStrategy};
+use crate::config::SolverKind;
+use crate::strategy::{expression_frequencies, select_expression, Sweep, TaskStrategy};
 use bc_crowd::Task;
 use bc_ctable::CTable;
 use bc_data::{ObjectId, VarId};
 use bc_solver::utility::object_entropy;
-use bc_solver::{Solver, VarDists};
+use bc_solver::{BranchHeuristic, Solver, SolverError, VarDists};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -84,6 +85,10 @@ pub fn rank_objects(probs: &[(ObjectId, f64)], ranking: ObjectRanking) -> Vec<Ra
 /// `blocked` vars are off-limits from the start, in both modes: the
 /// framework reserves the variables of tasks already in flight (queued
 /// retries) so a round never asks about them twice.
+///
+/// This is [`try_assemble_round`] in a fresh [`Sweep`] whose fallback is a
+/// default ADPLL. It **panics** if a utility cannot be computed even by
+/// the fallback; use `try_assemble_round` to handle that.
 #[allow(clippy::too_many_arguments)] // the paper's Algorithm 4 inputs, passed as-is
 pub fn assemble_round(
     ranked: &[RankedObject],
@@ -95,8 +100,34 @@ pub fn assemble_round(
     conflict_free: bool,
     blocked: &BTreeSet<VarId>,
 ) -> Vec<Task> {
+    let fallback = SolverKind::Adpll.build(BranchHeuristic::default(), true);
+    let mut sweep = Sweep::new(solver, fallback.as_ref(), dists);
+    try_assemble_round(
+        ranked,
+        ctable,
+        strategy,
+        &mut sweep,
+        limit,
+        conflict_free,
+        blocked,
+    )
+    .unwrap_or_else(|e| panic!("task selection failed: {e} (use try_assemble_round to handle it)"))
+}
+
+/// [`assemble_round`] with its solves in `sweep`: every utility of the
+/// round shares the sweep's memo, and a solver error the sweep's fallback
+/// cannot fix ends the selection with that error.
+pub fn try_assemble_round(
+    ranked: &[RankedObject],
+    ctable: &CTable,
+    strategy: TaskStrategy,
+    sweep: &mut Sweep<'_, '_>,
+    limit: usize,
+    conflict_free: bool,
+    blocked: &BTreeSet<VarId>,
+) -> Result<Vec<Task>, SolverError> {
     if limit == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     // Frequencies are counted over the conditions of the objects considered
     // this round (the paper's "chosen top-k objects").
@@ -114,15 +145,9 @@ pub fn assemble_round(
             continue;
         }
         let off_limits = if conflict_free { &used_vars } else { blocked };
-        let Some(expr) = select_expression(
-            strategy,
-            cond,
-            &freq,
-            off_limits,
-            solver,
-            dists,
-            r.probability,
-        ) else {
+        let Some(expr) =
+            select_expression(strategy, cond, &freq, off_limits, sweep, r.probability)?
+        else {
             continue;
         };
         let task = Task::from_expr(&expr);
@@ -131,7 +156,7 @@ pub fn assemble_round(
         }
         tasks.push(task);
     }
-    tasks
+    Ok(tasks)
 }
 
 #[cfg(test)]

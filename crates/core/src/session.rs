@@ -22,8 +22,8 @@
 use crate::config::{BayesCrowdConfig, SolverKind};
 use crate::error::RunError;
 use crate::report::RunReport;
-use crate::selection::{assemble_round, rank_objects, ObjectRanking};
-use crate::strategy::TaskStrategy;
+use crate::selection::{rank_objects, try_assemble_round, ObjectRanking};
+use crate::strategy::{Sweep, TaskStrategy, UtilityWork};
 use bc_bayes::anneal::AnnealConfig;
 use bc_bayes::em::EmConfig;
 use bc_bayes::learn::LearnConfig;
@@ -36,7 +36,7 @@ use bc_ctable::{
 use bc_data::{Accuracy, Dataset, Domain, ObjectId, VarId};
 use bc_obs::{Event, NoopObserver, Observer, RunPhase, Span};
 use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, SnapshotWriter, Value};
-use bc_solver::{BranchHeuristic, SolveStats, Solver, SolverError, VarDists};
+use bc_solver::{BranchHeuristic, SolveStats, Solver, VarDists};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 /// Per-object probabilities plus the solver effort behind them: aggregated
 /// stats, the number of solver calls, and how many of those calls were
 /// fallback re-solves after the configured solver failed.
-type SolvedBatch = Result<(Vec<(ObjectId, f64)>, SolveStats, u64, u64), SolverError>;
+type SolvedBatch = Result<(Vec<(ObjectId, f64)>, SolveStats, u64, u64), RunError>;
 
 /// A failed task waiting in the retry queue.
 #[derive(Clone, Copy, Debug)]
@@ -111,7 +111,11 @@ fn probabilities(
     Ok(out)
 }
 
-fn solve_batch(
+/// Solves every object's condition, in parallel worker threads when the
+/// configuration asks for it (ADPLL, more than 64 objects), with the
+/// fallback policy of [`probabilities`]. A panicking worker surfaces as
+/// [`RunError::WorkerPanicked`].
+pub(crate) fn solve_batch(
     config: &BayesCrowdConfig,
     ctable: &CTable,
     objects: &[ObjectId],
@@ -164,7 +168,7 @@ fn solve_batch(
         let mut stats = SolveStats::default();
         let mut calls = 0u64;
         let mut fallbacks = 0u64;
-        let mut first_err: Option<SolverError> = None;
+        let mut first_err: Option<RunError> = None;
         std::thread::scope(|s| {
             let handles: Vec<_> = objects
                 .chunks(chunk)
@@ -178,7 +182,7 @@ fn solve_batch(
                 })
                 .collect();
             for h in handles {
-                match h.join().expect("probability worker panicked") {
+                match joined(h.join()) {
                     Ok((chunk_out, chunk_stats, chunk_calls, chunk_fallbacks)) => {
                         out.extend(chunk_out);
                         stats += chunk_stats;
@@ -196,6 +200,19 @@ fn solve_batch(
     } else {
         solve_chunk(heuristic, caching, ctable, objects, solver, dists)
     }
+}
+
+/// A worker thread's result, with a panic turned into
+/// [`RunError::WorkerPanicked`].
+fn joined<T>(result: std::thread::Result<Result<T, RunError>>) -> Result<T, RunError> {
+    result.unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        Err(RunError::WorkerPanicked { message })
+    })
 }
 
 /// An in-flight crowd run: the crowdsourcing phase of Algorithm 4, paused
@@ -508,6 +525,8 @@ impl<'a> Session<'a> {
         let mut reserved: BTreeSet<VarId> = batch.iter().flat_map(|t| t.vars()).collect();
         reserved.extend(pending.iter().flat_map(|p| p.task.vars()));
 
+        let mut selected = Ok(Vec::new());
+        let (mut utility, mut utility_nanos) = (UtilityWork::default(), 0);
         if batch.len() < limit {
             let open = ctable.open_objects();
             let stale: Vec<ObjectId> = open
@@ -528,19 +547,34 @@ impl<'a> Session<'a> {
             prob_cache.extend(fresh);
             let probs: Vec<(ObjectId, f64)> = open.iter().map(|o| (*o, prob_cache[o])).collect();
             let ranked = rank_objects(&probs, config.ranking);
-            let fresh_tasks = assemble_round(
+            // The sweep borrows `dists`, so its memo is gone before
+            // propagation below re-conditions them.
+            let fallback = SolverKind::Adpll.build(config.branch_heuristic, config.solver_caching);
+            let sweep_start = Instant::now();
+            let mut sweep = Sweep::new(solver.as_ref(), fallback.as_ref(), dists);
+            selected = try_assemble_round(
                 &ranked,
                 ctable,
                 config.strategy,
-                solver.as_ref(),
-                dists,
+                &mut sweep,
                 limit - batch.len(),
                 config.conflict_free,
                 &reserved,
             );
-            attempts_in_batch.resize(batch.len() + fresh_tasks.len(), 0);
-            batch.extend(fresh_tasks);
+            utility = sweep.work();
+            utility_nanos = sweep_start.elapsed().as_nanos();
         }
+        observer.event(&Event::UtilitySweep {
+            evals: utility.evals,
+            solver_calls: utility.solver_calls,
+            decisions: utility.decisions,
+            cache_hits: utility.cache_hits,
+            fallbacks: utility.fallbacks,
+            nanos: utility_nanos,
+        });
+        let fresh_tasks = selected?;
+        attempts_in_batch.resize(batch.len() + fresh_tasks.len(), 0);
+        batch.extend(fresh_tasks);
         select_span.finish(observer);
 
         if batch.is_empty() {
@@ -1867,6 +1901,17 @@ mod tests {
             let got = &decoded[v];
             assert_eq!(got.probs(), pmf.probs(), "bit-exact restore for {v}");
         }
+    }
+
+    #[test]
+    fn a_panicking_worker_becomes_a_typed_error() {
+        let err =
+            std::thread::scope(|s| joined::<()>(s.spawn(|| panic!("worker {} failed", 3)).join()));
+        match err {
+            Err(RunError::WorkerPanicked { message }) => assert_eq!(message, "worker 3 failed"),
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+        assert_eq!(joined(Ok(Ok(7))).unwrap(), 7);
     }
 
     #[test]

@@ -44,6 +44,58 @@ fn golden_trace_is_deterministic_modulo_timing() {
     assert!(!a.events().is_empty());
 }
 
+/// Every select phase reports one utility sweep, right before its span
+/// closes; the sweep's counters are separate from the batch counters.
+#[test]
+fn every_select_phase_reports_one_utility_sweep() {
+    let (_, metrics) = run_recorded(1.0, 42);
+    let events = metrics.events();
+    let selects: Vec<usize> = (0..events.len())
+        .filter(|&i| {
+            matches!(
+                events[i],
+                Event::SpanFinished {
+                    phase: RunPhase::Select,
+                    ..
+                }
+            )
+        })
+        .collect();
+    let sweeps = events
+        .iter()
+        .filter(|e| matches!(e, Event::UtilitySweep { .. }))
+        .count();
+    assert!(!selects.is_empty());
+    assert_eq!(sweeps, selects.len());
+    for &i in &selects {
+        assert!(
+            matches!(events[i - 1], Event::UtilitySweep { .. }),
+            "select span {i} not preceded by its sweep"
+        );
+    }
+    let c = metrics.counters();
+    assert!(c.utility_evals > 0, "HHS scored no expression");
+    assert_eq!(c.utility_fallbacks, 0);
+    // One solve per informative candidate at most.
+    assert!(c.utility_solver_calls <= c.utility_evals);
+
+    // FBS never scores a utility.
+    let data = paper_dataset();
+    let oracle = GroundTruthOracle::new(paper_completion());
+    let mut platform = SimulatedPlatform::new(oracle, 1.0, 42);
+    let mut fbs = MetricsRecorder::new();
+    let config = sample_config()
+        .into_builder()
+        .strategy(TaskStrategy::Fbs)
+        .build()
+        .unwrap();
+    BayesCrowd::new(config)
+        .try_run(&data, &mut platform, &mut fbs)
+        .unwrap();
+    assert_eq!(fbs.counters().utility_evals, 0);
+    assert_eq!(fbs.counters().utility_solver_calls, 0);
+}
+
 /// Structural invariants of any trace: RunStarted first, RunFinished last,
 /// and every RoundStarted paired with exactly one RoundFinished for the
 /// same round number, in order.
