@@ -247,6 +247,10 @@ pub enum Event {
         budget_left: usize,
         /// Open c-table expressions at the checkpoint.
         open_exprs: usize,
+        /// Size of the snapshot document read.
+        bytes: usize,
+        /// Read, parse and restore wall-clock time.
+        nanos: u128,
     },
     /// The run finished; totals mirror the final `RunReport`.
     RunFinished {
@@ -301,12 +305,12 @@ impl Event {
             | Event::RoundFinished { nanos, .. }
             | Event::SpanFinished { nanos, .. }
             | Event::CheckpointWritten { nanos, .. }
+            | Event::Resumed { nanos, .. }
             | Event::RunFinished { nanos, .. } => *nanos = 0,
             Event::RunStarted { .. }
             | Event::RoundStarted { .. }
             | Event::SolverSearch { .. }
-            | Event::Degraded { .. }
-            | Event::Resumed { .. } => {}
+            | Event::Degraded { .. } => {}
         }
         e
     }
@@ -464,10 +468,14 @@ impl Event {
                 round,
                 budget_left,
                 open_exprs,
+                bytes,
+                nanos,
             } => {
                 field_u(&mut s, "round", *round as u128);
                 field_u(&mut s, "budget_left", *budget_left as u128);
                 field_u(&mut s, "open_exprs", *open_exprs as u128);
+                field_u(&mut s, "bytes", *bytes as u128);
+                field_u(&mut s, "nanos", *nanos);
             }
             Event::RunFinished {
                 rounds,
@@ -585,6 +593,8 @@ impl Event {
                 round: get_u("round")?,
                 budget_left: get_u("budget_left")?,
                 open_exprs: get_u("open_exprs")?,
+                bytes: get_u("bytes")?,
+                nanos: get_n("nanos")?,
             },
             "RunFinished" => Event::RunFinished {
                 rounds: get_u("rounds")?,
@@ -757,6 +767,8 @@ mod tests {
                 round: 2,
                 budget_left: 4,
                 open_exprs: 7,
+                bytes: 257_000,
+                nanos: 2_300_000,
             },
             Event::RunFinished {
                 rounds: 3,
@@ -803,6 +815,24 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
+        // A resume keeps its size and loses its time.
+        let resumed = Event::Resumed {
+            round: 2,
+            budget_left: 4,
+            open_exprs: 7,
+            bytes: 900,
+            nanos: 55,
+        };
+        assert_eq!(
+            resumed.redact_timing(),
+            Event::Resumed {
+                round: 2,
+                budget_left: 4,
+                open_exprs: 7,
+                bytes: 900,
+                nanos: 0,
+            }
+        );
         // Events without timing are untouched.
         let s = Event::RoundStarted { round: 7 };
         assert_eq!(s.redact_timing(), s);

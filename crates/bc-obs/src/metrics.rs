@@ -186,6 +186,16 @@ pub struct Counters {
     pub solver_fallbacks: u64,
     /// Durable checkpoints written.
     pub checkpoints_written: u64,
+    /// Bytes of those checkpoints.
+    pub checkpoint_bytes: u64,
+    /// Wall-clock nanoseconds spent writing them.
+    pub checkpoint_nanos: u64,
+    /// Sessions restored from a checkpoint (0 or 1 per recorder).
+    pub resumes: u64,
+    /// Bytes of the documents resumed from.
+    pub resume_bytes: u64,
+    /// Wall-clock nanoseconds spent reading, parsing and restoring them.
+    pub resume_nanos: u64,
     /// Marginal utilities evaluated by task selection. From
     /// `UtilitySweep` events, like every `utility_*` counter; none of them
     /// is part of the `solver_*` counters, which count probability batches.
@@ -303,6 +313,16 @@ impl MetricsRecorder {
             "propagated {} answers, {} conditions decided",
             c.answers_propagated, c.conditions_decided
         );
+        let _ = writeln!(
+            s,
+            "checkpoints {} ({} bytes, {:.3}ms)  resumes {} ({} bytes, {:.3}ms)",
+            c.checkpoints_written,
+            c.checkpoint_bytes,
+            c.checkpoint_nanos as f64 / 1e6,
+            c.resumes,
+            c.resume_bytes,
+            c.resume_nanos as f64 / 1e6
+        );
         let _ = writeln!(s, "tasks/round: {}", self.tasks_per_round);
         let _ = writeln!(s, "propagation depth: {}", self.propagation_depth);
         let _ = write!(s, "phase timings:");
@@ -409,13 +429,24 @@ impl Observer for MetricsRecorder {
             Event::Degraded { tasks_abandoned } => {
                 self.counters.tasks_abandoned += *tasks_abandoned as u64;
             }
-            Event::CheckpointWritten { .. } => {
+            Event::CheckpointWritten { bytes, nanos, .. } => {
                 self.counters.checkpoints_written += 1;
+                self.counters.checkpoint_bytes += *bytes as u64;
+                self.counters.checkpoint_nanos += saturating_u64(*nanos);
+            }
+            Event::Resumed { bytes, nanos, .. } => {
+                self.counters.resumes += 1;
+                self.counters.resume_bytes += *bytes as u64;
+                self.counters.resume_nanos += saturating_u64(*nanos);
             }
             _ => {}
         }
         self.events.push(event.clone());
     }
+}
+
+fn saturating_u64(nanos: u128) -> u64 {
+    u64::try_from(nanos).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -569,6 +600,39 @@ mod tests {
         assert_eq!(c.solver_fallbacks, 0);
         assert_eq!(rec.attributed_nanos(), 0);
         assert!(rec.summary().contains("utility evals 10"));
+    }
+
+    #[test]
+    fn checkpoints_and_resumes_are_counted_with_bytes_and_time() {
+        let mut rec = MetricsRecorder::new();
+        rec.event(&Event::Resumed {
+            round: 2,
+            budget_left: 5,
+            open_exprs: 9,
+            bytes: 1000,
+            nanos: 70,
+        });
+        for round in 3..5 {
+            rec.event(&Event::CheckpointWritten {
+                round,
+                bytes: 400,
+                nanos: 30,
+            });
+        }
+        let c = rec.counters();
+        assert_eq!((c.resumes, c.resume_bytes, c.resume_nanos), (1, 1000, 70));
+        assert_eq!(
+            (
+                c.checkpoints_written,
+                c.checkpoint_bytes,
+                c.checkpoint_nanos
+            ),
+            (2, 800, 60)
+        );
+        // Neither is a phase span.
+        assert_eq!(rec.attributed_nanos(), 0);
+        assert!(rec.summary().contains("checkpoints 2 (800 bytes"));
+        assert!(rec.summary().contains("resumes 1 (1000 bytes"));
     }
 
     #[test]

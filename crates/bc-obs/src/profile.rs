@@ -453,8 +453,10 @@ fn solve_path(phase: RunPhase) -> String {
 /// │   ├── post
 /// │   └── propagate
 /// │       └── fixpoint (Propagated)
-/// └── finalize
-///     └── solve
+/// ├── finalize
+/// │   └── solve
+/// ├── checkpoint       (CheckpointWritten; count = checkpoints)
+/// └── resume           (Resumed)
 /// ```
 ///
 /// Every `nanos` filed here was measured at the emission site, so the
@@ -532,6 +534,12 @@ impl Observer for RunProfiler {
             }
             Event::RunFinished { nanos, .. } => {
                 self.profiler.record("", *nanos);
+            }
+            Event::CheckpointWritten { nanos, .. } => {
+                self.profiler.record("checkpoint", *nanos);
+            }
+            Event::Resumed { nanos, .. } => {
+                self.profiler.record("resume", *nanos);
             }
             _ => {}
         }
@@ -677,6 +685,20 @@ mod tests {
             retried: 0,
             nanos: 900,
         });
+        rp.event(&Event::Resumed {
+            round: 1,
+            budget_left: 3,
+            open_exprs: 4,
+            bytes: 5000,
+            nanos: 150,
+        });
+        for _ in 0..2 {
+            rp.event(&Event::CheckpointWritten {
+                round: 1,
+                bytes: 5000,
+                nanos: 100,
+            });
+        }
         rp.event(&Event::RunFinished {
             rounds: 1,
             tasks_posted: 2,
@@ -703,6 +725,10 @@ mod tests {
         assert_eq!((utility.count, utility.nanos), (11, 300));
         let utility_adpll = r.node("round/select/utility/adpll").unwrap();
         assert_eq!((utility_adpll.count, utility_adpll.nanos), (30, 0));
+        let checkpoint = r.node("checkpoint").unwrap();
+        assert_eq!((checkpoint.count, checkpoint.nanos), (2, 200));
+        let resume = r.node("resume").unwrap();
+        assert_eq!((resume.count, resume.nanos), (1, 150));
         let text = r.render_text();
         assert!(text.contains("adpll"), "text: {text}");
     }

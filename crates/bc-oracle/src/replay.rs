@@ -89,7 +89,7 @@ fn encode_instance(inst: &Instance) -> Vec<(&'static str, Value)> {
 pub fn save_instance(inst: &Instance, out: impl Write) -> Result<(), SnapshotError> {
     let mut w = SnapshotWriter::new(out, INSTANCE_FINGERPRINT)?;
     for (name, value) in encode_instance(inst) {
-        w.section(name, value)?;
+        w.section(name, &value)?;
     }
     w.finish()?;
     Ok(())
@@ -100,11 +100,11 @@ pub fn save_instance(inst: &Instance, out: impl Write) -> Result<(), SnapshotErr
 pub fn save_divergence(div: &Divergence, out: impl Write) -> Result<(), SnapshotError> {
     let mut w = SnapshotWriter::new(out, INSTANCE_FINGERPRINT)?;
     for (name, value) in encode_instance(&div.instance) {
-        w.section(name, value)?;
+        w.section(name, &value)?;
     }
     w.section(
         "divergence",
-        Value::obj(vec![
+        &Value::obj(vec![
             ("solver", Value::Str(div.solver.clone())),
             ("object", Value::Int(div.object.0 as i128)),
             ("got", Value::Float(div.got)),

@@ -16,8 +16,9 @@ pub enum SnapshotError {
     },
     /// The header names a different format.
     UnsupportedFormat(String),
-    /// The header's format version is newer than this reader understands.
-    UnsupportedVersion(u32),
+    /// The header's format version is newer than this reader understands
+    /// (saturated at `u64::MAX` for a version beyond that).
+    UnsupportedVersion(u64),
     /// The footer checksum does not match the document bytes — a torn
     /// write or a corrupted file.
     ChecksumMismatch {

@@ -40,6 +40,6 @@ mod doc;
 mod error;
 mod value;
 
-pub use doc::{fnv1a64, Snapshot, SnapshotWriter, FORMAT_NAME, FORMAT_VERSION};
+pub use doc::{fnv1a64, Prefix, Snapshot, SnapshotWriter, FORMAT_NAME, FORMAT_VERSION};
 pub use error::SnapshotError;
 pub use value::Value;

@@ -12,6 +12,9 @@
 //!   byte-stable. Non-finite floats print as `NaN`/`inf`/`-inf` and parse
 //!   back — snapshots must be total even for degenerate state.
 
+use crate::doc::fnv_extend;
+use std::fmt::Write as _;
+
 /// A dynamically typed snapshot value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -122,16 +125,18 @@ impl Value {
         out
     }
 
-    fn write_json(&self, out: &mut String) {
+    /// Appends the compact canonical JSON of this value to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
+            // Writing into a `String` cannot fail.
             Value::Int(i) => {
-                out.push_str(&i.to_string());
+                let _ = write!(out, "{i}");
             }
             Value::Float(f) => {
-                out.push_str(&format!("{f:?}"));
+                let _ = write!(out, "{f:?}");
             }
             Value::Str(s) => escape_into(s, out),
             Value::List(xs) => {
@@ -163,10 +168,29 @@ impl Value {
     /// Returns a human-readable reason on failure; the document layer
     /// attaches the line number.
     pub fn parse(input: &str) -> Result<Value, String> {
+        Value::parse_with(input, &mut Scratch::default(), None)
+    }
+
+    /// [`Value::parse`] over caller-owned scratch stacks, so a document's
+    /// lines share one pair of stacks instead of growing their own. With
+    /// `checksum`, the input's bytes are folded into that FNV-1a state as
+    /// they are read, token by token, so the hash's serial multiply chain
+    /// runs alongside the parse instead of in a pass of its own. (On an
+    /// error the state is unspecified.)
+    pub(crate) fn parse_with(
+        input: &str,
+        scratch: &mut Scratch,
+        checksum: Option<&mut u64>,
+    ) -> Result<Value, String> {
+        scratch.items.clear();
+        scratch.entries.clear();
         let mut p = Parser {
             src: input,
             bytes: input.as_bytes(),
             pos: 0,
+            scratch,
+            checksum,
+            hashed: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -174,11 +198,33 @@ impl Value {
         if p.pos != p.bytes.len() {
             return Err(format!("trailing bytes at offset {}", p.pos));
         }
+        p.fold_checksum();
         Ok(v)
+    }
+
+    /// Removes `key` from a map and returns its value (first match, like
+    /// [`Value::get`]); `None` when this is not a map or lacks the key.
+    /// Moves the payload out instead of cloning it.
+    pub(crate) fn remove(&mut self, key: &str) -> Option<Value> {
+        let Value::Map(entries) = self else {
+            return None;
+        };
+        let at = entries.iter().position(|(k, _)| k == key)?;
+        Some(entries.remove(at).1)
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// The parser's shared stacks. A list or map pushes its elements here
+/// while it is open and then moves them out with `split_off`, so every
+/// `Vec` in the parsed tree is allocated at its exact length; the stacks
+/// themselves keep their capacity from one parse to the next.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    items: Vec<Value>,
+    entries: Vec<(String, Value)>,
+}
+
+pub(crate) fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -199,13 +245,25 @@ fn escape_into(s: &str, out: &mut String) {
 /// A cursor over the input. `pos` only ever advances past ASCII bytes or
 /// past whole runs of string contents, so it always sits on a character
 /// boundary of `src`.
-struct Parser<'a> {
+struct Parser<'a, 's> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    scratch: &'s mut Scratch,
+    checksum: Option<&'s mut u64>,
+    /// How much of the input `checksum` already covers.
+    hashed: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_, '_> {
+    /// Folds the bytes read since the last fold into the checksum.
+    fn fold_checksum(&mut self) {
+        if let Some(hash) = self.checksum.as_deref_mut() {
+            *hash = fnv_extend(*hash, &self.bytes[self.hashed..self.pos]);
+            self.hashed = self.pos;
+        }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' {
@@ -270,13 +328,16 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let token =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number tokens are ascii");
+        self.fold_checksum();
+        // Only ASCII bytes were consumed, so both ends are char boundaries.
+        let token = &self.src[start..self.pos];
         if is_float {
             token
                 .parse::<f64>()
                 .map(Value::Float)
                 .map_err(|e| format!("bad float {token:?}: {e}"))
+        } else if let Ok(i) = token.parse::<i64>() {
+            Ok(Value::Int(i.into()))
         } else {
             token
                 .parse::<i128>()
@@ -294,13 +355,16 @@ impl<'a> Parser<'a> {
             let run = rest
                 .find(['"', '\\'])
                 .ok_or_else(|| "unterminated string".to_string())?;
+            let closed = rest.as_bytes()[run] == b'"';
+            self.pos += run + 1;
+            if closed && out.is_empty() {
+                // No escapes, the common case: one exact-size copy.
+                return Ok(rest[..run].to_owned());
+            }
             out.push_str(&rest[..run]);
-            self.pos += run;
-            if self.peek() == Some(b'"') {
-                self.pos += 1;
+            if closed {
                 return Ok(out);
             }
-            self.pos += 1;
             match self.peek() {
                 Some(b'"') => out.push('"'),
                 Some(b'\\') => out.push('\\'),
@@ -327,21 +391,22 @@ impl<'a> Parser<'a> {
 
     fn list(&mut self) -> Result<Value, String> {
         self.expect(b'[')?;
-        let mut xs = Vec::new();
+        let mark = self.scratch.items.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::List(xs));
+            return Ok(Value::List(Vec::new()));
         }
         loop {
             self.skip_ws();
-            xs.push(self.value()?);
+            let x = self.value()?;
+            self.scratch.items.push(x);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::List(xs));
+                    return Ok(Value::List(self.scratch.items.split_off(mark)));
                 }
                 _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
             }
@@ -350,11 +415,11 @@ impl<'a> Parser<'a> {
 
     fn map(&mut self) -> Result<Value, String> {
         self.expect(b'{')?;
-        let mut entries = Vec::new();
+        let mark = self.scratch.entries.len();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Map(entries));
+            return Ok(Value::Map(Vec::new()));
         }
         loop {
             self.skip_ws();
@@ -363,13 +428,13 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            entries.push((key, value));
+            self.scratch.entries.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Map(entries));
+                    return Ok(Value::Map(self.scratch.entries.split_off(mark)));
                 }
                 _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
             }
@@ -454,6 +519,104 @@ mod tests {
             back.get("a").and_then(|a| a.get("inner")),
             Some(&Value::Float(2.5))
         );
+    }
+
+    #[test]
+    fn integers_at_the_i64_edges_round_trip() {
+        for i in [
+            i64::MIN as i128,
+            i64::MIN as i128 - 1,
+            i64::MAX as i128,
+            i64::MAX as i128 + 1,
+            u64::MAX as i128,
+            u64::MAX as i128 + 1,
+            i128::MIN,
+            i128::MAX,
+            -1,
+            0,
+        ] {
+            assert_eq!(round_trip(&Value::Int(i)), Value::Int(i), "{i}");
+        }
+        // An integer zero has no sign; a float zero keeps it.
+        assert_eq!(Value::parse("-0").unwrap(), Value::Int(0));
+        assert_eq!(Value::parse("-0").unwrap().to_json(), "0");
+        match round_trip(&Value::Float(-0.0)) {
+            Value::Float(f) => assert_eq!(f.to_bits(), (-0.0f64).to_bits()),
+            other => panic!("wrong variant {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_numbers_are_rejected() {
+        for bad in [
+            "1-2",
+            "--",
+            "-",
+            "1e",
+            "1+",
+            "+1",
+            "1--",
+            "-+1",
+            ".5",
+            "1e+",
+            "0x10",
+            "170141183460469231731687303715884105728",
+        ] {
+            assert!(Value::parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_round_trips() {
+        let mut v = Value::List(vec![Value::Int(7)]);
+        for depth in 0..200 {
+            v = if depth % 2 == 0 {
+                Value::List(vec![v, Value::Null])
+            } else {
+                Value::Map(vec![("k".into(), v)])
+            };
+        }
+        assert_eq!(round_trip(&v), v);
+    }
+
+    #[test]
+    fn parsed_lists_and_maps_are_exact_size() {
+        fn check(v: &Value) {
+            match v {
+                Value::List(xs) => {
+                    assert_eq!(xs.capacity(), xs.len());
+                    xs.iter().for_each(check);
+                }
+                Value::Map(entries) => {
+                    assert_eq!(entries.capacity(), entries.len());
+                    entries.iter().for_each(|(k, v)| {
+                        assert_eq!(k.capacity(), k.len());
+                        check(v);
+                    });
+                }
+                Value::Str(s) => assert_eq!(s.capacity(), s.len()),
+                _ => {}
+            }
+        }
+        let json =
+            r#"{"a":[[1,2,3],[],[4,[5,6,7,8,9]],{"b":[1.5,2.5],"c":{}}],"dd":"xyz","e":[[[[]]]]}"#;
+        let v = Value::parse(json).unwrap();
+        assert_eq!(v.to_json(), json);
+        check(&v);
+    }
+
+    #[test]
+    fn remove_moves_a_map_entry_out() {
+        let mut v = Value::obj(vec![
+            ("a", Value::Int(1)),
+            ("b", Value::List(vec![Value::Int(2)])),
+            ("b", Value::Int(3)),
+        ]);
+        assert_eq!(v.remove("b"), Some(Value::List(vec![Value::Int(2)])));
+        assert_eq!(v.remove("b"), Some(Value::Int(3)));
+        assert_eq!(v.remove("b"), None);
+        assert_eq!(v.to_json(), r#"{"a":1}"#);
+        assert_eq!(Value::Int(1).remove("a"), None);
     }
 
     #[test]

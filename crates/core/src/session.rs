@@ -35,7 +35,7 @@ use bc_ctable::{
 };
 use bc_data::{Accuracy, Dataset, Domain, ObjectId, VarId};
 use bc_obs::{Event, NoopObserver, Observer, RunPhase, Span};
-use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, SnapshotWriter, Value};
+use bc_snapshot::{fnv1a64, Prefix, Snapshot, SnapshotError, SnapshotWriter, Value};
 use bc_solver::{BranchHeuristic, SolveStats, Solver, VarDists};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
@@ -254,7 +254,16 @@ pub struct Session<'a> {
     /// a fresh session, the checkpointed elapsed time after a resume).
     prior_elapsed: Duration,
     started: Instant,
+    /// The checkpoint's header and [`FROZEN_SECTIONS`], encoded once. They
+    /// hold `config`, `data` and `base_pmfs`, which nothing mutates after
+    /// `start`/`resume`. Taken from the resumed document, or filled by the
+    /// first checkpoint when that document had none.
+    frozen: Option<Prefix>,
 }
+
+/// The leading checkpoint sections that cannot change once a session
+/// exists, in document order (see [`Session::encode_frozen`]).
+const FROZEN_SECTIONS: [&str; 3] = ["config", "dataset", "model"];
 
 impl<'a> Session<'a> {
     /// Runs the modeling phase (Algorithm 1 lines 1–3) and returns the
@@ -346,6 +355,7 @@ impl<'a> Session<'a> {
             modeling_time,
             prior_elapsed: Duration::ZERO,
             started,
+            frozen: None,
         })
     }
 
@@ -470,6 +480,9 @@ impl<'a> Session<'a> {
             finished,
             ..
         } = self;
+        // The frozen checkpoint prefix encodes these three; a round only
+        // reads them.
+        let (config, data, base_pmfs) = (&*config, &*data, &*base_pmfs);
         let observer: &mut dyn Observer = match observer {
             Some(o) => &mut **o,
             None => noop,
@@ -844,20 +857,22 @@ impl<'a> Session<'a> {
         let state = self.platform.save_state().ok_or_else(|| {
             inv("platform does not support checkpointing (save_state returned None)")
         })?;
-        let config_v = enc_config(&self.config);
-        let dataset_v = enc_dataset(&self.data);
-        let fp = fingerprint_of(&config_v, &dataset_v);
-        let mut w = SnapshotWriter::new(out, &fp)?;
-        w.section("config", config_v)?;
-        w.section("dataset", dataset_v)?;
-        w.section("model", enc_pmf_map(self.base_pmfs.iter()))?;
-        w.section("dists", enc_pmf_map(self.dists.iter()))?;
-        w.section("store", enc_store(&self.store))?;
-        w.section("ctable", enc_ctable(&self.ctable))?;
-        w.section("progress", self.enc_progress())?;
-        w.section("pending", enc_pending(&self.pending))?;
-        w.section("prob_cache", enc_prob_cache(&self.prob_cache))?;
-        w.section("platform", enc_platform_state(&state))?;
+        if self.frozen.is_none() {
+            self.frozen = Some(self.encode_frozen()?);
+        }
+        let frozen = self.frozen.as_ref().expect("filled above");
+        debug_assert!(
+            frozen.as_bytes() == self.encode_frozen()?.as_bytes(),
+            "the frozen checkpoint prefix no longer matches config, dataset and model"
+        );
+        let mut w = SnapshotWriter::from_prefix(out, frozen)?;
+        w.section("dists", &enc_pmf_map(self.dists.iter()))?;
+        w.section("store", &enc_store(&self.store))?;
+        w.section("ctable", &enc_ctable(&self.ctable))?;
+        w.section("progress", &self.enc_progress())?;
+        w.section("pending", &enc_pending(&self.pending))?;
+        w.section("prob_cache", &enc_prob_cache(&self.prob_cache))?;
+        w.section("platform", &enc_platform_state(&state))?;
         let bytes = w.finish()?;
         let observer: &mut dyn Observer = match self.observer.as_deref_mut() {
             Some(o) => o,
@@ -898,11 +913,18 @@ impl<'a> Session<'a> {
     }
 
     fn resume_inner(
-        reader: impl Read,
+        mut reader: impl Read,
         platform: &'a mut dyn CrowdPlatform,
         observer: Option<&'a mut dyn Observer>,
     ) -> Result<Session<'a>, RunError> {
-        let snap = Snapshot::parse(reader)?;
+        let t = Instant::now();
+        let mut text = String::new();
+        reader
+            .read_to_string(&mut text)
+            .map_err(SnapshotError::Io)?;
+        let bytes = text.len();
+        let (snap, frozen) = Snapshot::parse_with_prefix(&text, &FROZEN_SECTIONS)?;
+        drop(text);
         let config_v = snap.section("config")?;
         let dataset_v = snap.section("dataset")?;
         let fp = fingerprint_of(config_v, dataset_v);
@@ -944,7 +966,7 @@ impl<'a> Session<'a> {
             finished: get_bool(p, "finished")?,
             modeling_time: Duration::from_nanos(get_u64(p, "modeling_nanos")?),
             prior_elapsed: Duration::from_nanos(get_u64(p, "elapsed_nanos")?),
-            started: Instant::now(),
+            started: t,
             config,
             data,
             platform,
@@ -957,6 +979,7 @@ impl<'a> Session<'a> {
             store,
             pending,
             prob_cache,
+            frozen,
         };
         let obs: &mut dyn Observer = match session.observer.as_deref_mut() {
             Some(o) => o,
@@ -966,8 +989,22 @@ impl<'a> Session<'a> {
             round: session.round_idx,
             budget_left: session.budget,
             open_exprs: session.ctable.n_open_exprs(),
+            bytes,
+            nanos: t.elapsed().as_nanos(),
         });
         Ok(session)
+    }
+
+    /// Encodes the checkpoint header and [`FROZEN_SECTIONS`] from scratch.
+    fn encode_frozen(&self) -> Result<Prefix, SnapshotError> {
+        let config_v = enc_config(&self.config);
+        let dataset_v = enc_dataset(&self.data);
+        let mut w = SnapshotWriter::new(Vec::new(), &fingerprint_of(&config_v, &dataset_v))?;
+        let [config, dataset, model] = FROZEN_SECTIONS;
+        w.section(config, &config_v)?;
+        w.section(dataset, &dataset_v)?;
+        w.section(model, &enc_pmf_map(self.base_pmfs.iter()))?;
+        Ok(w.freeze())
     }
 
     fn enc_progress(&self) -> Value {

@@ -296,3 +296,162 @@ proptest! {
         assert_reports_match(&clean, &resumed, &format!("proptest seed {seed}, k {k}"));
     }
 }
+
+// ---- Frozen checkpoint prefix ---------------------------------------------
+//
+// A checkpoint writes its header and its `config`, `dataset` and `model`
+// lines from a prefix encoded once per session, or taken from the document
+// the session resumed from. These tests pin that the shortcut never changes
+// a byte.
+
+/// A 500-object NBA-like campaign (10% of cells missing, HHS) and a
+/// factory for identically built crowds.
+fn nba_campaign() -> (BayesCrowd, Dataset, impl Fn() -> SimulatedPlatform) {
+    let complete = bc_data::generators::nba::nba_like(500, 11);
+    let (incomplete, _) = bc_data::missing::inject_mcar(&complete, 0.1, 12);
+    let engine = BayesCrowd::new(BayesCrowdConfig {
+        budget: 50,
+        latency: 5,
+        alpha: 0.01,
+        strategy: TaskStrategy::Hhs { m: 15 },
+        ..Default::default()
+    });
+    let mk = move || SimulatedPlatform::new(GroundTruthOracle::new(complete.clone()), 0.95, 13);
+    (engine, incomplete, mk)
+}
+
+fn checkpoint_of(session: &mut Session<'_>) -> Vec<u8> {
+    let mut buf = Vec::new();
+    session.checkpoint(&mut buf).expect("checkpoint");
+    buf
+}
+
+fn lines_of(doc: &[u8]) -> Vec<&str> {
+    std::str::from_utf8(doc).expect("utf-8").lines().collect()
+}
+
+/// The document re-encoded from scratch through `Value`.
+fn reencoded(doc: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    Snapshot::parse(doc)
+        .expect("checkpoint parses")
+        .write_to(&mut out)
+        .expect("re-serializes");
+    out
+}
+
+/// Every line but `progress` (it records the wall clock) and the footer
+/// (its checksum covers `progress`).
+fn timeless(doc: &[u8]) -> Vec<&str> {
+    lines_of(doc)
+        .into_iter()
+        .filter(|l| !l.starts_with("{\"section\":\"progress\"") && !l.starts_with("{\"sections\":"))
+        .collect()
+}
+
+#[test]
+fn a_resumed_session_checkpoints_the_bytes_a_full_encoding_would() {
+    let (engine, data, mk) = nba_campaign();
+    let mut platform = mk();
+    let mut clean = engine
+        .session(&data, &mut platform)
+        .expect("session starts");
+    assert!(clean.step().expect("round 1"));
+    let first = checkpoint_of(&mut clean);
+    assert!(clean.step().expect("round 2"));
+    let clean_second = checkpoint_of(&mut clean);
+
+    let mut platform = mk();
+    let mut resumed = Session::resume(&first[..], &mut platform).expect("resumes");
+    assert!(resumed.step().expect("resumed round 2"));
+    let second = checkpoint_of(&mut resumed);
+
+    assert_eq!(second, reencoded(&second), "not what Value would write");
+    assert_eq!(
+        lines_of(&first)[..4],
+        lines_of(&second)[..4],
+        "header, config, dataset and model changed"
+    );
+    assert_eq!(
+        timeless(&clean_second),
+        timeless(&second),
+        "the resumed run's checkpoint differs from the uninterrupted run's"
+    );
+    // A second checkpoint of the same session reuses the same prefix.
+    assert_eq!(timeless(&checkpoint_of(&mut resumed)), timeless(&second));
+}
+
+#[test]
+fn a_document_with_reordered_sections_resumes_to_canonical_checkpoints() {
+    let (engine, data, mk) = nba_campaign();
+    let mut platform = mk();
+    let mut session = engine
+        .session(&data, &mut platform)
+        .expect("session starts");
+    assert!(session.step().expect("round 1"));
+    let first = checkpoint_of(&mut session);
+    assert!(session.step().expect("round 2"));
+    let clean_second = checkpoint_of(&mut session);
+
+    // The same state with its sections in reverse order, under a valid
+    // checksum: no prefix can come from it.
+    let snap = Snapshot::parse(&first[..]).expect("parses");
+    let mut sections = snap.sections().to_vec();
+    sections.reverse();
+    let mut reordered = Vec::new();
+    Snapshot::new(snap.fingerprint().to_string(), sections)
+        .write_to(&mut reordered)
+        .expect("writes");
+    assert_ne!(reordered, first);
+
+    let mut platform = mk();
+    let mut resumed = Session::resume(&reordered[..], &mut platform).expect("resumes");
+    assert!(resumed.step().expect("resumed round 2"));
+    let second = checkpoint_of(&mut resumed);
+    assert_eq!(second, reencoded(&second));
+    assert_eq!(lines_of(&first)[..4], lines_of(&second)[..4]);
+    assert_eq!(timeless(&clean_second), timeless(&second));
+}
+
+#[test]
+fn resumes_and_checkpoints_are_timed_in_the_trace() {
+    let data = paper_dataset();
+    let mk = || SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 1.0, 7);
+    let engine = BayesCrowd::new(sample_config());
+    let mut platform = mk();
+    let mut session = engine.session(&data, &mut platform).unwrap();
+    assert!(session.step().unwrap());
+    let doc = checkpoint_of(&mut session);
+
+    let mut platform = mk();
+    let (mut metrics, mut profiler) = (MetricsRecorder::new(), bc_obs::RunProfiler::new());
+    let mut tee = bc_obs::Tee::new(&mut metrics, &mut profiler);
+    let mut session = Session::resume_observed(&doc[..], &mut platform, &mut tee).unwrap();
+    assert!(session.step().unwrap());
+    let again = checkpoint_of(&mut session);
+    while session.step().unwrap() {}
+    unwrap_report(session.finalize());
+
+    match metrics.events().first() {
+        Some(Event::Resumed { bytes, nanos, .. }) => {
+            assert_eq!(*bytes, doc.len());
+            assert!(*nanos > 0);
+        }
+        other => panic!("expected Resumed first, got {other:?}"),
+    }
+    let c = metrics.counters();
+    assert_eq!((c.resumes, c.resume_bytes), (1, doc.len() as u64));
+    assert_eq!(
+        (c.checkpoints_written, c.checkpoint_bytes),
+        (1, again.len() as u64)
+    );
+    assert!(c.resume_nanos > 0 && c.checkpoint_nanos > 0);
+    let profile = profiler.report();
+    let resume = profile.node("resume").expect("a resume span");
+    assert_eq!((resume.count, resume.nanos), (1, c.resume_nanos as u128));
+    let checkpoint = profile.node("checkpoint").expect("a checkpoint span");
+    assert_eq!(
+        (checkpoint.count, checkpoint.nanos),
+        (1, c.checkpoint_nanos as u128)
+    );
+}
