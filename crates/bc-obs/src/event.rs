@@ -2,10 +2,11 @@
 //!
 //! Every event is a flat record of counters plus (where meaningful) a
 //! monotonic duration in nanoseconds. Events serialize to single-line JSON
-//! objects ([`Event::to_json_line`]) and parse back
-//! ([`Event::from_json_line`]), so a JSON-lines trace written by one
-//! process can be reconciled against the final run report by another.
+//! objects ([`Event::to_json_line`], through [`bc_snapshot::Value`]) and
+//! parse back ([`Event::from_json_line`]), so a JSON-lines trace written by
+//! one process can be reconciled against the final run report by another.
 
+use bc_snapshot::{SnapshotError, Value};
 use std::fmt;
 
 /// The instrumented phases of a run, in execution order.
@@ -316,12 +317,27 @@ impl Event {
     }
 
     /// Serializes the event as one JSON object on one line, prefixed with a
-    /// sequence number: `{"seq": 3, "event": "RoundStarted", "round": 1}`.
+    /// sequence number: `{"seq":3,"event":"RoundStarted","round":1}`.
     pub fn to_json_line(&self, seq: u64) -> String {
-        let mut s = format!("{{\"seq\": {seq}, \"event\": \"{}\"", self.kind());
-        let field_u = |s: &mut String, k: &str, v: u128| {
-            s.push_str(&format!(", \"{k}\": {v}"));
-        };
+        self.to_value(seq).to_json()
+    }
+
+    /// Parses one line written by [`Event::to_json_line`] (surrounding
+    /// whitespace and unknown keys are ignored), returning the sequence
+    /// number and the event. Returns `None` when the line is not JSON, names
+    /// no known event, or lacks a field or holds one of the wrong type.
+    pub fn from_json_line(line: &str) -> Option<(u64, Event)> {
+        let value = Value::parse(line.trim()).ok()?;
+        Event::from_value(&value).ok()
+    }
+
+    /// The event as a flat map: `seq`, `event` (the kind), then the
+    /// variant's fields in declaration order.
+    fn to_value(&self, seq: u64) -> Value {
+        let u = |n: usize| Value::Int(n as i128);
+        let w = |n: u64| Value::Int(n.into());
+        let phase = |p: RunPhase| Value::Str(p.name().into());
+        let mut entries = vec![("seq", w(seq)), ("event", Value::Str(self.kind().into()))];
         match self {
             Event::RunStarted {
                 objects,
@@ -329,26 +345,30 @@ impl Event {
                 missing_vars,
                 budget,
                 latency,
-            } => {
-                field_u(&mut s, "objects", *objects as u128);
-                field_u(&mut s, "attrs", *attrs as u128);
-                field_u(&mut s, "missing_vars", *missing_vars as u128);
-                field_u(&mut s, "budget", *budget as u128);
-                field_u(&mut s, "latency", *latency as u128);
-            }
+            } => entries.extend([
+                ("objects", u(*objects)),
+                ("attrs", u(*attrs)),
+                ("missing_vars", u(*missing_vars)),
+                ("budget", u(*budget)),
+                ("latency", u(*latency)),
+            ]),
             Event::ModelTrained {
                 bic,
                 edges,
                 em_iters,
                 search_iters,
                 nanos,
-            } => {
-                s.push_str(&format!(", \"bic\": {}", json_f64(*bic)));
-                field_u(&mut s, "edges", *edges as u128);
-                field_u(&mut s, "em_iters", *em_iters as u128);
-                field_u(&mut s, "search_iters", *search_iters as u128);
-                field_u(&mut s, "nanos", *nanos);
-            }
+            } => entries.extend([
+                // JSON has no NaN/Inf; traces should stay parseable regardless.
+                (
+                    "bic",
+                    Value::Float(if bic.is_finite() { *bic } else { 0.0 }),
+                ),
+                ("edges", u(*edges)),
+                ("em_iters", u(*em_iters)),
+                ("search_iters", u(*search_iters)),
+                ("nanos", nanos_value(*nanos)),
+            ]),
             Event::CTableBuilt {
                 objects,
                 open_objects,
@@ -358,53 +378,51 @@ impl Event {
                 candidates,
                 bitset_words,
                 nanos,
-            } => {
-                field_u(&mut s, "objects", *objects as u128);
-                field_u(&mut s, "open_objects", *open_objects as u128);
-                field_u(&mut s, "vars", *vars as u128);
-                field_u(&mut s, "exprs", *exprs as u128);
-                field_u(&mut s, "pruned", *pruned as u128);
-                field_u(&mut s, "candidates", *candidates as u128);
-                field_u(&mut s, "bitset_words", *bitset_words as u128);
-                field_u(&mut s, "nanos", *nanos);
-            }
-            Event::RoundStarted { round } => {
-                field_u(&mut s, "round", *round as u128);
-            }
+            } => entries.extend([
+                ("objects", u(*objects)),
+                ("open_objects", u(*open_objects)),
+                ("vars", u(*vars)),
+                ("exprs", u(*exprs)),
+                ("pruned", u(*pruned)),
+                ("candidates", w(*candidates)),
+                ("bitset_words", w(*bitset_words)),
+                ("nanos", nanos_value(*nanos)),
+            ]),
+            Event::RoundStarted { round } => entries.push(("round", u(*round))),
             Event::ProbabilityBatch {
-                phase,
+                phase: p,
                 objects,
                 solver_calls,
                 branches,
                 cache_hits,
                 fallbacks,
                 nanos,
-            } => {
-                s.push_str(&format!(", \"phase\": \"{}\"", phase.name()));
-                field_u(&mut s, "objects", *objects as u128);
-                field_u(&mut s, "solver_calls", *solver_calls as u128);
-                field_u(&mut s, "branches", *branches as u128);
-                field_u(&mut s, "cache_hits", *cache_hits as u128);
-                field_u(&mut s, "fallbacks", *fallbacks as u128);
-                field_u(&mut s, "nanos", *nanos);
-            }
+            } => entries.extend([
+                ("phase", phase(*p)),
+                ("objects", u(*objects)),
+                ("solver_calls", w(*solver_calls)),
+                ("branches", w(*branches)),
+                ("cache_hits", w(*cache_hits)),
+                ("fallbacks", w(*fallbacks)),
+                ("nanos", nanos_value(*nanos)),
+            ]),
             Event::SolverSearch {
-                phase,
+                phase: p,
                 decisions,
                 direct_components,
                 component_splits,
                 cache_hits,
                 cache_misses,
                 max_depth,
-            } => {
-                s.push_str(&format!(", \"phase\": \"{}\"", phase.name()));
-                field_u(&mut s, "decisions", *decisions as u128);
-                field_u(&mut s, "direct_components", *direct_components as u128);
-                field_u(&mut s, "component_splits", *component_splits as u128);
-                field_u(&mut s, "cache_hits", *cache_hits as u128);
-                field_u(&mut s, "cache_misses", *cache_misses as u128);
-                field_u(&mut s, "max_depth", *max_depth as u128);
-            }
+            } => entries.extend([
+                ("phase", phase(*p)),
+                ("decisions", w(*decisions)),
+                ("direct_components", w(*direct_components)),
+                ("component_splits", w(*component_splits)),
+                ("cache_hits", w(*cache_hits)),
+                ("cache_misses", w(*cache_misses)),
+                ("max_depth", w(*max_depth)),
+            ]),
             Event::UtilitySweep {
                 evals,
                 solver_calls,
@@ -412,25 +430,25 @@ impl Event {
                 cache_hits,
                 fallbacks,
                 nanos,
-            } => {
-                field_u(&mut s, "evals", *evals as u128);
-                field_u(&mut s, "solver_calls", *solver_calls as u128);
-                field_u(&mut s, "decisions", *decisions as u128);
-                field_u(&mut s, "cache_hits", *cache_hits as u128);
-                field_u(&mut s, "fallbacks", *fallbacks as u128);
-                field_u(&mut s, "nanos", *nanos);
-            }
+            } => entries.extend([
+                ("evals", w(*evals)),
+                ("solver_calls", w(*solver_calls)),
+                ("decisions", w(*decisions)),
+                ("cache_hits", w(*cache_hits)),
+                ("fallbacks", w(*fallbacks)),
+                ("nanos", nanos_value(*nanos)),
+            ]),
             Event::Propagated {
                 answers,
                 decided,
                 depth,
                 nanos,
-            } => {
-                field_u(&mut s, "answers", *answers as u128);
-                field_u(&mut s, "decided", *decided as u128);
-                field_u(&mut s, "depth", *depth as u128);
-                field_u(&mut s, "nanos", *nanos);
-            }
+            } => entries.extend([
+                ("answers", u(*answers)),
+                ("decided", u(*decided)),
+                ("depth", u(*depth)),
+                ("nanos", nanos_value(*nanos)),
+            ]),
             Event::RoundFinished {
                 round,
                 posted,
@@ -439,44 +457,43 @@ impl Event {
                 requeued,
                 retried,
                 nanos,
-            } => {
-                field_u(&mut s, "round", *round as u128);
-                field_u(&mut s, "posted", *posted as u128);
-                field_u(&mut s, "answered", *answered as u128);
-                field_u(&mut s, "expired", *expired as u128);
-                field_u(&mut s, "requeued", *requeued as u128);
-                field_u(&mut s, "retried", *retried as u128);
-                field_u(&mut s, "nanos", *nanos);
-            }
-            Event::SpanFinished { phase, nanos } => {
-                s.push_str(&format!(", \"phase\": \"{}\"", phase.name()));
-                field_u(&mut s, "nanos", *nanos);
+            } => entries.extend([
+                ("round", u(*round)),
+                ("posted", u(*posted)),
+                ("answered", u(*answered)),
+                ("expired", u(*expired)),
+                ("requeued", u(*requeued)),
+                ("retried", u(*retried)),
+                ("nanos", nanos_value(*nanos)),
+            ]),
+            Event::SpanFinished { phase: p, nanos } => {
+                entries.extend([("phase", phase(*p)), ("nanos", nanos_value(*nanos))])
             }
             Event::Degraded { tasks_abandoned } => {
-                field_u(&mut s, "tasks_abandoned", *tasks_abandoned as u128);
+                entries.push(("tasks_abandoned", u(*tasks_abandoned)))
             }
             Event::CheckpointWritten {
                 round,
                 bytes,
                 nanos,
-            } => {
-                field_u(&mut s, "round", *round as u128);
-                field_u(&mut s, "bytes", *bytes as u128);
-                field_u(&mut s, "nanos", *nanos);
-            }
+            } => entries.extend([
+                ("round", u(*round)),
+                ("bytes", u(*bytes)),
+                ("nanos", nanos_value(*nanos)),
+            ]),
             Event::Resumed {
                 round,
                 budget_left,
                 open_exprs,
                 bytes,
                 nanos,
-            } => {
-                field_u(&mut s, "round", *round as u128);
-                field_u(&mut s, "budget_left", *budget_left as u128);
-                field_u(&mut s, "open_exprs", *open_exprs as u128);
-                field_u(&mut s, "bytes", *bytes as u128);
-                field_u(&mut s, "nanos", *nanos);
-            }
+            } => entries.extend([
+                ("round", u(*round)),
+                ("budget_left", u(*budget_left)),
+                ("open_exprs", u(*open_exprs)),
+                ("bytes", u(*bytes)),
+                ("nanos", nanos_value(*nanos)),
+            ]),
             Event::RunFinished {
                 rounds,
                 tasks_posted,
@@ -485,200 +502,132 @@ impl Event {
                 tasks_retried,
                 probability_evals,
                 nanos,
-            } => {
-                field_u(&mut s, "rounds", *rounds as u128);
-                field_u(&mut s, "tasks_posted", *tasks_posted as u128);
-                field_u(&mut s, "tasks_answered", *tasks_answered as u128);
-                field_u(&mut s, "tasks_expired", *tasks_expired as u128);
-                field_u(&mut s, "tasks_retried", *tasks_retried as u128);
-                field_u(&mut s, "probability_evals", *probability_evals as u128);
-                field_u(&mut s, "nanos", *nanos);
-            }
+            } => entries.extend([
+                ("rounds", u(*rounds)),
+                ("tasks_posted", u(*tasks_posted)),
+                ("tasks_answered", u(*tasks_answered)),
+                ("tasks_expired", u(*tasks_expired)),
+                ("tasks_retried", u(*tasks_retried)),
+                ("probability_evals", w(*probability_evals)),
+                ("nanos", nanos_value(*nanos)),
+            ]),
         }
-        s.push('}');
-        s
+        Value::obj(entries)
     }
 
-    /// Parses one line written by [`Event::to_json_line`], returning the
-    /// sequence number and the event. Returns `None` on any mismatch; this
-    /// is a round-trip parser for our own trace format, not general JSON.
-    pub fn from_json_line(line: &str) -> Option<(u64, Event)> {
-        let fields = parse_flat_object(line)?;
-        let seq = fields.num("seq")? as u64;
-        let get_u = |k: &str| fields.num(k).map(|v| v as usize);
-        let get_u64 = |k: &str| fields.num(k).map(|v| v as u64);
-        let get_n = |k: &str| fields.num(k).map(|v| v as u128);
-        let event = match fields.str("event")? {
+    /// Inverse of [`Event::to_value`].
+    fn from_value(v: &Value) -> Result<(u64, Event), SnapshotError> {
+        let phase = || {
+            let name = v.field_str("phase")?;
+            RunPhase::from_name(name)
+                .ok_or_else(|| SnapshotError::invalid(format!("unknown phase {name:?}")))
+        };
+        let event = match v.field_str("event")? {
             "RunStarted" => Event::RunStarted {
-                objects: get_u("objects")?,
-                attrs: get_u("attrs")?,
-                missing_vars: get_u("missing_vars")?,
-                budget: get_u("budget")?,
-                latency: get_u("latency")?,
+                objects: v.field_usize("objects")?,
+                attrs: v.field_usize("attrs")?,
+                missing_vars: v.field_usize("missing_vars")?,
+                budget: v.field_usize("budget")?,
+                latency: v.field_usize("latency")?,
             },
             "ModelTrained" => Event::ModelTrained {
-                bic: fields.num("bic")?,
-                edges: get_u("edges")?,
-                em_iters: get_u("em_iters")?,
-                search_iters: get_u("search_iters")?,
-                nanos: get_n("nanos")?,
+                bic: v.field_f64("bic")?,
+                edges: v.field_usize("edges")?,
+                em_iters: v.field_usize("em_iters")?,
+                search_iters: v.field_usize("search_iters")?,
+                nanos: v.field_u128("nanos")?,
             },
             "CTableBuilt" => Event::CTableBuilt {
-                objects: get_u("objects")?,
-                open_objects: get_u("open_objects")?,
-                vars: get_u("vars")?,
-                exprs: get_u("exprs")?,
-                pruned: get_u("pruned")?,
-                candidates: get_u64("candidates")?,
-                bitset_words: get_u64("bitset_words")?,
-                nanos: get_n("nanos")?,
+                objects: v.field_usize("objects")?,
+                open_objects: v.field_usize("open_objects")?,
+                vars: v.field_usize("vars")?,
+                exprs: v.field_usize("exprs")?,
+                pruned: v.field_usize("pruned")?,
+                candidates: v.field_u64("candidates")?,
+                bitset_words: v.field_u64("bitset_words")?,
+                nanos: v.field_u128("nanos")?,
             },
             "RoundStarted" => Event::RoundStarted {
-                round: get_u("round")?,
+                round: v.field_usize("round")?,
             },
             "ProbabilityBatch" => Event::ProbabilityBatch {
-                phase: RunPhase::from_name(fields.str("phase")?)?,
-                objects: get_u("objects")?,
-                solver_calls: get_u64("solver_calls")?,
-                branches: get_u64("branches")?,
-                cache_hits: get_u64("cache_hits")?,
-                fallbacks: get_u64("fallbacks")?,
-                nanos: get_n("nanos")?,
+                phase: phase()?,
+                objects: v.field_usize("objects")?,
+                solver_calls: v.field_u64("solver_calls")?,
+                branches: v.field_u64("branches")?,
+                cache_hits: v.field_u64("cache_hits")?,
+                fallbacks: v.field_u64("fallbacks")?,
+                nanos: v.field_u128("nanos")?,
             },
             "SolverSearch" => Event::SolverSearch {
-                phase: RunPhase::from_name(fields.str("phase")?)?,
-                decisions: get_u64("decisions")?,
-                direct_components: get_u64("direct_components")?,
-                component_splits: get_u64("component_splits")?,
-                cache_hits: get_u64("cache_hits")?,
-                cache_misses: get_u64("cache_misses")?,
-                max_depth: get_u64("max_depth")?,
+                phase: phase()?,
+                decisions: v.field_u64("decisions")?,
+                direct_components: v.field_u64("direct_components")?,
+                component_splits: v.field_u64("component_splits")?,
+                cache_hits: v.field_u64("cache_hits")?,
+                cache_misses: v.field_u64("cache_misses")?,
+                max_depth: v.field_u64("max_depth")?,
             },
             "UtilitySweep" => Event::UtilitySweep {
-                evals: get_u64("evals")?,
-                solver_calls: get_u64("solver_calls")?,
-                decisions: get_u64("decisions")?,
-                cache_hits: get_u64("cache_hits")?,
-                fallbacks: get_u64("fallbacks")?,
-                nanos: get_n("nanos")?,
+                evals: v.field_u64("evals")?,
+                solver_calls: v.field_u64("solver_calls")?,
+                decisions: v.field_u64("decisions")?,
+                cache_hits: v.field_u64("cache_hits")?,
+                fallbacks: v.field_u64("fallbacks")?,
+                nanos: v.field_u128("nanos")?,
             },
             "Propagated" => Event::Propagated {
-                answers: get_u("answers")?,
-                decided: get_u("decided")?,
-                depth: get_u("depth")?,
-                nanos: get_n("nanos")?,
+                answers: v.field_usize("answers")?,
+                decided: v.field_usize("decided")?,
+                depth: v.field_usize("depth")?,
+                nanos: v.field_u128("nanos")?,
             },
             "RoundFinished" => Event::RoundFinished {
-                round: get_u("round")?,
-                posted: get_u("posted")?,
-                answered: get_u("answered")?,
-                expired: get_u("expired")?,
-                requeued: get_u("requeued")?,
-                retried: get_u("retried")?,
-                nanos: get_n("nanos")?,
+                round: v.field_usize("round")?,
+                posted: v.field_usize("posted")?,
+                answered: v.field_usize("answered")?,
+                expired: v.field_usize("expired")?,
+                requeued: v.field_usize("requeued")?,
+                retried: v.field_usize("retried")?,
+                nanos: v.field_u128("nanos")?,
             },
             "SpanFinished" => Event::SpanFinished {
-                phase: RunPhase::from_name(fields.str("phase")?)?,
-                nanos: get_n("nanos")?,
+                phase: phase()?,
+                nanos: v.field_u128("nanos")?,
             },
             "Degraded" => Event::Degraded {
-                tasks_abandoned: get_u("tasks_abandoned")?,
+                tasks_abandoned: v.field_usize("tasks_abandoned")?,
             },
             "CheckpointWritten" => Event::CheckpointWritten {
-                round: get_u("round")?,
-                bytes: get_u("bytes")?,
-                nanos: get_n("nanos")?,
+                round: v.field_usize("round")?,
+                bytes: v.field_usize("bytes")?,
+                nanos: v.field_u128("nanos")?,
             },
             "Resumed" => Event::Resumed {
-                round: get_u("round")?,
-                budget_left: get_u("budget_left")?,
-                open_exprs: get_u("open_exprs")?,
-                bytes: get_u("bytes")?,
-                nanos: get_n("nanos")?,
+                round: v.field_usize("round")?,
+                budget_left: v.field_usize("budget_left")?,
+                open_exprs: v.field_usize("open_exprs")?,
+                bytes: v.field_usize("bytes")?,
+                nanos: v.field_u128("nanos")?,
             },
             "RunFinished" => Event::RunFinished {
-                rounds: get_u("rounds")?,
-                tasks_posted: get_u("tasks_posted")?,
-                tasks_answered: get_u("tasks_answered")?,
-                tasks_expired: get_u("tasks_expired")?,
-                tasks_retried: get_u("tasks_retried")?,
-                probability_evals: get_u64("probability_evals")?,
-                nanos: get_n("nanos")?,
+                rounds: v.field_usize("rounds")?,
+                tasks_posted: v.field_usize("tasks_posted")?,
+                tasks_answered: v.field_usize("tasks_answered")?,
+                tasks_expired: v.field_usize("tasks_expired")?,
+                tasks_retried: v.field_usize("tasks_retried")?,
+                probability_evals: v.field_u64("probability_evals")?,
+                nanos: v.field_u128("nanos")?,
             },
-            _ => return None,
+            other => return Err(SnapshotError::invalid(format!("unknown event {other:?}"))),
         };
-        Some((seq, event))
+        Ok((v.field_u64("seq")?, event))
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        // JSON has no NaN/Inf; traces should stay parseable regardless.
-        "0.0".into()
-    }
-}
-
-/// A flat `key: string-or-number` JSON object, parsed.
-struct FlatObject {
-    fields: Vec<(String, FlatValue)>,
-}
-
-enum FlatValue {
-    Num(f64),
-    Str(String),
-}
-
-impl FlatObject {
-    fn num(&self, key: &str) -> Option<f64> {
-        self.fields.iter().find_map(|(k, v)| match v {
-            FlatValue::Num(n) if k == key => Some(*n),
-            _ => None,
-        })
-    }
-
-    fn str(&self, key: &str) -> Option<&str> {
-        self.fields.iter().find_map(|(k, v)| match v {
-            FlatValue::Str(s) if k == key => Some(s.as_str()),
-            _ => None,
-        })
-    }
-}
-
-/// Parses `{"k": v, ...}` where every value is a number or a plain string
-/// (no escapes — event names and phase names never contain them).
-fn parse_flat_object(line: &str) -> Option<FlatObject> {
-    let mut rest = line.trim();
-    rest = rest.strip_prefix('{')?;
-    rest = rest.strip_suffix('}')?;
-    let mut fields = Vec::new();
-    while !rest.trim().is_empty() {
-        rest = rest.trim_start();
-        rest = rest.strip_prefix('"')?;
-        let end = rest.find('"')?;
-        let key = rest[..end].to_string();
-        rest = rest[end + 1..].trim_start().strip_prefix(':')?;
-        rest = rest.trim_start();
-        if let Some(after) = rest.strip_prefix('"') {
-            let end = after.find('"')?;
-            fields.push((key, FlatValue::Str(after[..end].to_string())));
-            rest = &after[end + 1..];
-        } else {
-            let end = rest
-                .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-                .unwrap_or(rest.len());
-            let num: f64 = rest[..end].parse().ok()?;
-            fields.push((key, FlatValue::Num(num)));
-            rest = &rest[end..];
-        }
-        rest = rest.trim_start();
-        match rest.strip_prefix(',') {
-            Some(r) => rest = r,
-            None => break,
-        }
-    }
-    Some(FlatObject { fields })
+/// A `nanos` duration as a JSON integer, saturating at `i128::MAX`.
+pub(crate) fn nanos_value(nanos: u128) -> Value {
+    Value::Int(i128::try_from(nanos).unwrap_or(i128::MAX))
 }
 
 #[cfg(test)]
@@ -782,6 +731,25 @@ mod tests {
         ]
     }
 
+    /// What `to_json_line` wrote for `sample_events()` while traces kept a
+    /// space after every `:` and `,`; traces written then must still parse.
+    const SPACED_SAMPLE_LINES: [&str; 14] = [
+        r#"{"seq": 0, "event": "RunStarted", "objects": 5, "attrs": 5, "missing_vars": 5, "budget": 6, "latency": 3}"#,
+        r#"{"seq": 1, "event": "ModelTrained", "bic": -12.5, "edges": 2, "em_iters": 0, "search_iters": 3, "nanos": 1234}"#,
+        r#"{"seq": 2, "event": "CTableBuilt", "objects": 5, "open_objects": 3, "vars": 4, "exprs": 13, "pruned": 0, "candidates": 7, "bitset_words": 25, "nanos": 99}"#,
+        r#"{"seq": 3, "event": "RoundStarted", "round": 1}"#,
+        r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "branches": 17, "cache_hits": 2, "fallbacks": 1, "nanos": 777}"#,
+        r#"{"seq": 5, "event": "SolverSearch", "phase": "select", "decisions": 17, "direct_components": 4, "component_splits": 1, "cache_hits": 2, "cache_misses": 5, "max_depth": 3}"#,
+        r#"{"seq": 6, "event": "UtilitySweep", "evals": 12, "solver_calls": 13, "decisions": 40, "cache_hits": 9, "fallbacks": 1, "nanos": 4321}"#,
+        r#"{"seq": 7, "event": "Propagated", "answers": 2, "decided": 1, "depth": 2, "nanos": 55}"#,
+        r#"{"seq": 8, "event": "RoundFinished", "round": 1, "posted": 2, "answered": 2, "expired": 0, "requeued": 0, "retried": 0, "nanos": 888}"#,
+        r#"{"seq": 9, "event": "SpanFinished", "phase": "post", "nanos": 11}"#,
+        r#"{"seq": 10, "event": "Degraded", "tasks_abandoned": 1}"#,
+        r#"{"seq": 11, "event": "CheckpointWritten", "round": 2, "bytes": 20480, "nanos": 321}"#,
+        r#"{"seq": 12, "event": "Resumed", "round": 2, "budget_left": 4, "open_exprs": 7, "bytes": 257000, "nanos": 2300000}"#,
+        r#"{"seq": 13, "event": "RunFinished", "rounds": 3, "tasks_posted": 6, "tasks_answered": 5, "tasks_expired": 1, "tasks_retried": 0, "probability_evals": 9, "nanos": 4242}"#,
+    ];
+
     #[test]
     fn every_event_round_trips_through_json() {
         for (i, e) in sample_events().into_iter().enumerate() {
@@ -790,6 +758,42 @@ mod tests {
                 Event::from_json_line(&line).unwrap_or_else(|| panic!("unparseable line: {line}"));
             assert_eq!(seq, i as u64);
             assert_eq!(back, e, "round-trip mismatch for {line}");
+        }
+    }
+
+    #[test]
+    fn spaced_lines_parse_and_new_lines_only_drop_the_spaces() {
+        for (i, (e, spaced)) in sample_events()
+            .into_iter()
+            .zip(SPACED_SAMPLE_LINES)
+            .enumerate()
+        {
+            assert_eq!(Event::from_json_line(spaced), Some((i as u64, e.clone())));
+            let compact = spaced.replace(": ", ":").replace(", ", ",");
+            assert_eq!(e.to_json_line(i as u64), compact);
+        }
+    }
+
+    #[test]
+    fn counters_are_read_exactly() {
+        for bad in [
+            r#"{"seq": 1, "event": "RoundStarted", "round": -3}"#,
+            r#"{"seq": 1, "event": "RoundStarted", "round": 2.5}"#,
+        ] {
+            assert_eq!(Event::from_json_line(bad), None, "accepted {bad}");
+        }
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            let e = Event::CTableBuilt {
+                objects: 5,
+                open_objects: 3,
+                vars: 4,
+                exprs: 13,
+                pruned: 0,
+                candidates: n,
+                bitset_words: n,
+                nanos: n.into(),
+            };
+            assert_eq!(Event::from_json_line(&e.to_json_line(n)), Some((n, e)));
         }
     }
 
@@ -867,7 +871,7 @@ mod tests {
             nanos: 0,
         };
         let line = e.to_json_line(0);
-        assert!(line.contains("\"bic\": 0.0"), "{line}");
+        assert!(line.contains("\"bic\":0.0"), "{line}");
         assert!(Event::from_json_line(&line).is_some());
     }
 }

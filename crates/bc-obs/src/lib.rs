@@ -6,7 +6,9 @@
 //!
 //! - [`NoopObserver`]: free; the default behind `BayesCrowd::run`.
 //! - [`JsonLinesSink`]: streams the trace as JSON lines for offline
-//!   analysis; [`Event::from_json_line`] parses it back.
+//!   analysis; [`Event::from_json_line`] parses it back. Events and
+//!   [`ProfileReport`]s are written and read through
+//!   [`bc_snapshot::Value`], the workspace's one JSON codec.
 //! - [`MetricsRecorder`]: in-memory aggregation (per-phase timing,
 //!   counters, histograms) for tests and the bench harness.
 //! - [`RunProfiler`]: folds the stream into a hierarchical

@@ -18,8 +18,9 @@
 //! parse → write round-trip is byte-identical, matching the bc-snapshot
 //! convention.
 
-use crate::event::{Event, RunPhase};
+use crate::event::{nanos_value, Event, RunPhase};
 use crate::sink::Observer;
+use bc_snapshot::{SnapshotError, Value};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -164,22 +165,38 @@ pub struct ReportNode {
 }
 
 impl ReportNode {
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"name\": \"");
-        escape_into(&self.name, out);
-        let _ = write!(
-            out,
-            "\", \"count\": {}, \"nanos\": {}",
-            self.count, self.nanos
-        );
-        out.push_str(", \"children\": [");
-        for (i, child) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            child.write_json(out);
+    fn to_value(&self) -> Value {
+        Value::obj(vec![
+            ("name", Value::Str(self.name.clone())),
+            ("count", Value::Int(self.count.into())),
+            ("nanos", nanos_value(self.nanos)),
+            (
+                "children",
+                Value::List(self.children.iter().map(ReportNode::to_value).collect()),
+            ),
+        ])
+    }
+
+    /// Inverse of [`ReportNode::to_value`]; the four keys must come in
+    /// that order and alone.
+    fn from_value(v: &Value) -> Result<ReportNode, SnapshotError> {
+        let keys = v.as_map().map(|m| m.iter().map(|(k, _)| k.as_str()));
+        if !keys.is_some_and(|k| k.eq(["name", "count", "nanos", "children"])) {
+            return Err(SnapshotError::invalid(
+                "a span must hold exactly name, count, nanos and children, in that order",
+            ));
         }
-        out.push_str("]}");
+        Ok(ReportNode {
+            name: v.field_str("name")?.to_string(),
+            count: v.field_u64("count")?,
+            nanos: v.field_u128("nanos")?,
+            children: v
+                .field("children")?
+                .list("children")?
+                .iter()
+                .map(ReportNode::from_value)
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     fn write_text(&self, out: &mut String, depth: usize) {
@@ -194,22 +211,6 @@ impl ReportNode {
         );
         for child in &self.children {
             child.write_text(out, depth + 1);
-        }
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }
@@ -250,172 +251,20 @@ impl ProfileReport {
     }
 
     /// Canonical single-line JSON: fixed key order
-    /// (`name`, `count`, `nanos`, `children`), `", "` separators, no
-    /// trailing newline. [`ProfileReport::from_json`] of this output
-    /// re-serializes to the identical bytes.
+    /// (`name`, `count`, `nanos`, `children`), no whitespace, no trailing
+    /// newline. [`ProfileReport::from_json`] of this output re-serializes
+    /// to the identical bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.root.write_json(&mut out);
-        out
+        self.root.to_value().to_json()
     }
 
-    /// Parses the JSON produced by [`ProfileReport::to_json`]
-    /// (whitespace-tolerant, but key order is fixed).
+    /// Parses the JSON produced by [`ProfileReport::to_json`]. Surrounding
+    /// whitespace and spaces between tokens are accepted; key order is
+    /// fixed.
     pub fn from_json(input: &str) -> Result<ProfileReport, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        let root = p.node()?;
-        p.ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
+        let value = Value::parse(input.trim())?;
+        let root = ReportNode::from_value(&value).map_err(|e| e.to_string())?;
         Ok(ProfileReport { root })
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn key(&mut self, name: &str) -> Result<(), String> {
-        self.ws();
-        self.expect(b'"')?;
-        if !self.bytes[self.pos..].starts_with(name.as_bytes()) {
-            return Err(format!("expected key {name:?} at offset {}", self.pos));
-        }
-        self.pos += name.len();
-        self.expect(b'"')?;
-        self.ws();
-        self.expect(b':')
-    }
-
-    fn uint(&mut self) -> Result<u128, String> {
-        self.ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected digits at offset {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ascii")
-            .parse()
-            .map_err(|e| format!("bad integer at offset {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.ws();
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty by construction");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn node(&mut self) -> Result<ReportNode, String> {
-        self.ws();
-        self.expect(b'{')?;
-        self.key("name")?;
-        let name = self.string()?;
-        self.ws();
-        self.expect(b',')?;
-        self.key("count")?;
-        let count = u64::try_from(self.uint()?).map_err(|_| "count overflows u64".to_string())?;
-        self.ws();
-        self.expect(b',')?;
-        self.key("nanos")?;
-        let nanos = self.uint()?;
-        self.ws();
-        self.expect(b',')?;
-        self.key("children")?;
-        self.ws();
-        self.expect(b'[')?;
-        let mut children = Vec::new();
-        self.ws();
-        if self.bytes.get(self.pos) != Some(&b']') {
-            loop {
-                children.push(self.node()?);
-                self.ws();
-                if self.bytes.get(self.pos) == Some(&b',') {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        self.ws();
-        self.expect(b']')?;
-        self.ws();
-        self.expect(b'}')?;
-        Ok(ReportNode {
-            name,
-            count,
-            nanos,
-            children,
-        })
     }
 }
 
@@ -607,9 +456,24 @@ mod tests {
         let json = p.report().to_json();
         assert_eq!(
             json,
-            "{\"name\": \"run\", \"count\": 0, \"nanos\": 0, \"children\": \
-             [{\"name\": \"a\", \"count\": 1, \"nanos\": 5, \"children\": []}]}"
+            "{\"name\":\"run\",\"count\":0,\"nanos\":0,\"children\":\
+             [{\"name\":\"a\",\"count\":1,\"nanos\":5,\"children\":[]}]}"
         );
+    }
+
+    #[test]
+    fn spaced_json_parses_and_new_json_only_drops_the_spaces() {
+        // What `to_json` wrote while profiles kept a space after every `:`
+        // and `,`; profiles written then must still parse.
+        const SPACED: &str = r#"{"name": "run", "count": 0, "nanos": 0, "children": [{"name": "a\"b", "count": 1, "nanos": 5, "children": [{"name": "c", "count": 7, "nanos": 0, "children": []}]}, {"name": "d", "count": 1, "nanos": 12, "children": []}]}"#;
+        let mut p = Profiler::new("run");
+        p.record("a\"b", 5);
+        p.record_with("a\"b/c", 0, 7);
+        p.record("d", 12);
+        let report = p.report();
+        assert_eq!(ProfileReport::from_json(SPACED), Ok(report.clone()));
+        let compact = SPACED.replace(": ", ":").replace(", ", ",");
+        assert_eq!(report.to_json(), compact);
     }
 
     #[test]

@@ -117,93 +117,68 @@ pub fn save_divergence(div: &Divergence, out: impl Write) -> Result<(), Snapshot
     Ok(())
 }
 
-fn invalid(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError::Invalid(msg.into())
-}
-
 /// Reads an instance document back (a `divergence` section, if present, is
 /// ignored — the instance alone is what replays).
 pub fn load_instance(input: impl Read) -> Result<Instance, SnapshotError> {
     let snap = Snapshot::parse(input)?;
     if snap.fingerprint() != INSTANCE_FINGERPRINT {
-        return Err(invalid(format!(
+        return Err(SnapshotError::invalid(format!(
             "fingerprint {:?} is not {INSTANCE_FINGERPRINT:?}",
             snap.fingerprint()
         )));
     }
 
     let meta = snap.section("meta")?;
-    let name = meta
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| invalid("meta.name missing"))?
-        .to_string();
-    let seed = meta
-        .get("seed")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| invalid("meta.seed missing"))?;
+    let name = meta.field_str("name")?.to_string();
+    let seed = meta.field_u64("seed")?;
 
     let dataset = snap.section("dataset")?;
-    let cards = dataset
-        .get("cards")
-        .and_then(Value::as_list)
-        .ok_or_else(|| invalid("dataset.cards missing"))?;
-    let domains: Vec<Domain> = cards
+    let domains: Vec<Domain> = dataset
+        .field("cards")?
+        .list("dataset.cards")?
         .iter()
         .enumerate()
         .map(|(i, c)| {
             let card = c
                 .as_u16()
-                .ok_or_else(|| invalid(format!("dataset.cards[{i}] not a u16")))?;
-            Domain::new(format!("a{i}"), card).map_err(|e| invalid(e.to_string()))
+                .ok_or_else(|| SnapshotError::invalid(format!("dataset.cards[{i}] not a u16")))?;
+            Domain::new(format!("a{i}"), card).map_err(|e| SnapshotError::invalid(e.to_string()))
         })
         .collect::<Result<_, _>>()?;
     let rows = dataset
-        .get("rows")
-        .and_then(Value::as_list)
-        .ok_or_else(|| invalid("dataset.rows missing"))?
+        .field("rows")?
+        .list("dataset.rows")?
         .iter()
         .map(|row| {
-            row.as_list()
-                .ok_or_else(|| invalid("dataset row not a list"))?
+            row.list("dataset row")?
                 .iter()
                 .map(|c| match c {
                     Value::Null => Ok(None),
                     other => other
                         .as_u16()
                         .map(Some)
-                        .ok_or_else(|| invalid("cell not a u16 or null")),
+                        .ok_or_else(|| SnapshotError::invalid("cell not a u16 or null")),
                 })
                 .collect::<Result<Vec<Option<CellValue>>, _>>()
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let data =
-        Dataset::from_rows(name.clone(), domains, rows).map_err(|e| invalid(e.to_string()))?;
+    let data = Dataset::from_rows(name.clone(), domains, rows)
+        .map_err(|e| SnapshotError::invalid(e.to_string()))?;
 
     let mut pmfs = BTreeMap::new();
-    for (i, rec) in snap
-        .section("pmfs")?
-        .as_list()
-        .ok_or_else(|| invalid("pmfs not a list"))?
-        .iter()
-        .enumerate()
-    {
-        let object = rec
-            .get("object")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| invalid(format!("pmfs[{i}].object missing")))?;
+    for (i, rec) in snap.section("pmfs")?.list("pmfs")?.iter().enumerate() {
+        let object = rec.field_u64("object")?;
         let attr = rec
-            .get("attr")
-            .and_then(Value::as_u16)
-            .ok_or_else(|| invalid(format!("pmfs[{i}].attr missing")))?;
+            .field("attr")?
+            .as_u16()
+            .ok_or_else(|| SnapshotError::invalid(format!("pmfs[{i}].attr not a u16")))?;
         let probs: Vec<f64> = rec
-            .get("probs")
-            .and_then(Value::as_list)
-            .ok_or_else(|| invalid(format!("pmfs[{i}].probs missing")))?
+            .field("probs")?
+            .list("pmf probabilities")?
             .iter()
             .map(|p| {
                 p.as_f64()
-                    .ok_or_else(|| invalid(format!("pmfs[{i}] prob not a float")))
+                    .ok_or_else(|| SnapshotError::invalid(format!("pmfs[{i}] prob not a float")))
             })
             .collect::<Result<_, _>>()?;
         pmfs.insert(VarId::new(object as u32, attr), Pmf::from_probs(probs));
@@ -212,14 +187,14 @@ pub fn load_instance(input: impl Read) -> Result<Instance, SnapshotError> {
     let missing = data.missing_vars();
     let keys: Vec<VarId> = pmfs.keys().copied().collect();
     if keys != missing {
-        return Err(invalid(format!(
+        return Err(SnapshotError::invalid(format!(
             "pmf keys {keys:?} do not match missing cells {missing:?}"
         )));
     }
     for (v, pmf) in &pmfs {
         let card = data.domain(v.attr).cardinality() as usize;
         if pmf.card() != card {
-            return Err(invalid(format!(
+            return Err(SnapshotError::invalid(format!(
                 "pmf of {v} has {} entries, domain has {card}",
                 pmf.card()
             )));
@@ -256,7 +231,7 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<(PathBuf, Instance)>, SnapshotError
         .map(|p| {
             let file = std::fs::File::open(&p).map_err(SnapshotError::Io)?;
             let inst = load_instance(std::io::BufReader::new(file))
-                .map_err(|e| invalid(format!("{}: {e}", p.display())))?;
+                .map_err(|e| SnapshotError::invalid(format!("{}: {e}", p.display())))?;
             Ok((p, inst))
         })
         .collect()

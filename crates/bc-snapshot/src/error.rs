@@ -71,6 +71,13 @@ impl fmt::Display for SnapshotError {
     }
 }
 
+impl SnapshotError {
+    /// A [`SnapshotError::Invalid`] carrying `reason`.
+    pub fn invalid(reason: impl Into<String>) -> Self {
+        SnapshotError::Invalid(reason.into())
+    }
+}
+
 impl std::error::Error for SnapshotError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

@@ -5,8 +5,10 @@
 //! task is money already spent — a process restart must not discard paid
 //! answers or retrained state. This crate is the persistence container for
 //! that state: a **versioned, checksummed JSON-lines document** with a
-//! hand-rolled writer and parser in the style of `bc-obs`'s trace sink, and
-//! no dependencies.
+//! hand-rolled writer and parser, and no dependencies. Its [`Value`] is
+//! also the workspace's one JSON codec: traces, profiles and benchmark
+//! rows are `Value` conversions, and every decoder reads required fields
+//! through [`Value::field`] and its typed siblings.
 //!
 //! The crate is deliberately generic: it knows nothing about datasets,
 //! c-tables, or platforms. Domain state is encoded into the [`Value`] tree

@@ -13,6 +13,7 @@
 //!   back — snapshots must be total even for degenerate state.
 
 use crate::doc::fnv_extend;
+use crate::error::SnapshotError;
 use std::fmt::Write as _;
 
 /// A dynamically typed snapshot value.
@@ -116,6 +117,65 @@ impl Value {
         self.as_map()?
             .iter()
             .find_map(|(k, v)| (k == key).then_some(v))
+    }
+
+    /// `key`'s value in this map. The `field*` readers are how decoders
+    /// read required fields: a missing or mistyped field is a
+    /// [`SnapshotError::Invalid`] naming the key, and its text is built
+    /// only on failure.
+    pub fn field(&self, key: &str) -> Result<&Value, SnapshotError> {
+        self.get(key)
+            .ok_or_else(|| SnapshotError::invalid(format!("missing key {key:?}")))
+    }
+
+    /// `key`'s value as a `usize`.
+    pub fn field_usize(&self, key: &str) -> Result<usize, SnapshotError> {
+        self.field(key)?
+            .as_usize()
+            .ok_or_else(|| SnapshotError::invalid(format!("key {key:?} is not a usize")))
+    }
+
+    /// `key`'s value as a `u64`.
+    pub fn field_u64(&self, key: &str) -> Result<u64, SnapshotError> {
+        self.field(key)?
+            .as_u64()
+            .ok_or_else(|| SnapshotError::invalid(format!("key {key:?} is not a u64")))
+    }
+
+    /// `key`'s value as a `u128` (a non-negative integer; `Int` holds up
+    /// to `i128::MAX`).
+    pub fn field_u128(&self, key: &str) -> Result<u128, SnapshotError> {
+        self.field(key)?
+            .as_int()
+            .and_then(|i| u128::try_from(i).ok())
+            .ok_or_else(|| SnapshotError::invalid(format!("key {key:?} is not a u128")))
+    }
+
+    /// `key`'s value as a float (integers do not coerce).
+    pub fn field_f64(&self, key: &str) -> Result<f64, SnapshotError> {
+        self.field(key)?
+            .as_f64()
+            .ok_or_else(|| SnapshotError::invalid(format!("key {key:?} is not a float")))
+    }
+
+    /// `key`'s value as a boolean.
+    pub fn field_bool(&self, key: &str) -> Result<bool, SnapshotError> {
+        self.field(key)?
+            .as_bool()
+            .ok_or_else(|| SnapshotError::invalid(format!("key {key:?} is not a bool")))
+    }
+
+    /// `key`'s value as a string.
+    pub fn field_str(&self, key: &str) -> Result<&str, SnapshotError> {
+        self.field(key)?
+            .as_str()
+            .ok_or_else(|| SnapshotError::invalid(format!("key {key:?} is not a string")))
+    }
+
+    /// The elements of this list; `what` names it in the error.
+    pub fn list(&self, what: &str) -> Result<&[Value], SnapshotError> {
+        self.as_list()
+            .ok_or_else(|| SnapshotError::invalid(format!("{what} must be a list")))
     }
 
     /// Serializes to compact canonical JSON.
@@ -628,6 +688,24 @@ mod tests {
         assert_eq!(v.get("f").unwrap().as_int(), None);
         assert_eq!(v.get("missing"), None);
         assert_eq!(Value::Int(-1).as_u64(), None);
+
+        assert_eq!(v.field_usize("n").unwrap(), 42);
+        assert_eq!(v.field_u128("n").unwrap(), 42);
+        assert_eq!(v.field_f64("f").unwrap(), 1.0);
+        for (err, want) in [
+            (v.field("missing").unwrap_err(), "missing key \"missing\""),
+            (v.field_f64("n").unwrap_err(), "key \"n\" is not a float"),
+            (v.field_u64("f").unwrap_err(), "key \"f\" is not a u64"),
+            (v.field_str("n").unwrap_err(), "key \"n\" is not a string"),
+            (v.list("the map").unwrap_err(), "the map must be a list"),
+        ] {
+            assert!(
+                matches!(err, SnapshotError::Invalid(ref r) if r == want),
+                "{err}"
+            );
+        }
+        let negative = Value::obj(vec![("n", Value::Int(-1))]);
+        assert!(negative.field_u128("n").is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::workloads::Workload;
 use bayescrowd::{BayesCrowd, BayesCrowdConfig, RunError, SolverKind, TaskStrategy};
 use bc_crowd::{GroundTruthOracle, SimulatedPlatform};
 use bc_obs::{Event, MetricsRecorder, RunPhase};
-use bc_snapshot::Value;
+use bc_snapshot::{SnapshotError, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -442,72 +442,51 @@ impl BenchDoc {
     /// Parses a document produced by [`BenchDoc::to_json`].
     pub fn parse(input: &str) -> Result<BenchDoc, String> {
         let value = Value::parse(input.trim_end())?;
+        BenchDoc::from_value(&value).map_err(|e| e.to_string())
+    }
+
+    fn from_value(value: &Value) -> Result<BenchDoc, SnapshotError> {
         let version = value
-            .get("bench_version")
-            .and_then(Value::as_int)
-            .ok_or("missing bench_version")?;
+            .field("bench_version")?
+            .as_int()
+            .ok_or_else(|| SnapshotError::invalid("bench_version is not an integer"))?;
         if version != BENCH_VERSION {
-            return Err(format!("unsupported bench_version {version}"));
+            return Err(SnapshotError::invalid(format!(
+                "unsupported bench_version {version}"
+            )));
         }
-        let str_field = |k: &str| -> Result<String, String> {
-            Ok(value
-                .get(k)
-                .and_then(Value::as_str)
-                .ok_or(format!("missing {k}"))?
-                .to_string())
-        };
-        let usize_field = |k: &str| -> Result<usize, String> {
-            value
-                .get(k)
-                .and_then(Value::as_usize)
-                .ok_or(format!("missing {k}"))
-        };
         let mut env = BTreeMap::new();
         for (k, v) in value
-            .get("env")
-            .and_then(Value::as_map)
-            .ok_or("missing env")?
+            .field("env")?
+            .as_map()
+            .ok_or_else(|| SnapshotError::invalid("env is not a map"))?
         {
-            env.insert(
-                k.clone(),
-                v.as_str()
-                    .ok_or(format!("env.{k} is not a string"))?
-                    .to_string(),
-            );
+            let v = v
+                .as_str()
+                .ok_or_else(|| SnapshotError::invalid(format!("env.{k} is not a string")))?;
+            env.insert(k.clone(), v.to_string());
         }
         let mut benchmarks = Vec::new();
-        for b in value
-            .get("benchmarks")
-            .and_then(Value::as_list)
-            .ok_or("missing benchmarks")?
-        {
-            let name = b
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("benchmark missing name")?
-                .to_string();
+        for b in value.field("benchmarks")?.list("benchmarks")? {
+            let name = b.field_str("name")?.to_string();
             let mut metrics = BTreeMap::new();
             for (k, v) in b
-                .get("metrics")
-                .and_then(Value::as_map)
-                .ok_or("benchmark missing metrics")?
+                .field("metrics")?
+                .as_map()
+                .ok_or_else(|| SnapshotError::invalid(format!("{name}.metrics is not a map")))?
             {
-                let median = v
-                    .get("median")
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("{name}.{k} missing median"))?;
-                let mad = v
-                    .get("mad")
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("{name}.{k} missing mad"))?;
-                metrics.insert(k.clone(), MetricSummary { median, mad });
+                let summary = MetricSummary {
+                    median: v.field_f64("median")?,
+                    mad: v.field_f64("mad")?,
+                };
+                metrics.insert(k.clone(), summary);
             }
             benchmarks.push(BenchRecord { name, metrics });
         }
         Ok(BenchDoc {
-            scale: str_field("scale")?,
-            trials: usize_field("trials")?,
-            warmup: usize_field("warmup")?,
+            scale: value.field_str("scale")?.to_string(),
+            trials: value.field_usize("trials")?,
+            warmup: value.field_usize("warmup")?,
             env,
             benchmarks,
         })

@@ -1,8 +1,9 @@
 //! A small result-table model shared by every experiment.
 //!
-//! JSON output is hand-rolled (and hand-parsed for the round-trip test)
-//! because the build environment has no registry access for `serde`.
+//! Rows serialize through [`bc_snapshot::Value`], the workspace's one JSON
+//! codec.
 
+use bc_snapshot::Value;
 use std::collections::BTreeMap;
 
 /// One measured point of one series of one experiment.
@@ -43,67 +44,40 @@ impl Row {
         let metrics = self
             .metrics
             .iter()
-            .map(|(k, v)| format!("{}: {:?}", json_string(k), v))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"experiment\": {}, \"series\": {}, \"x_name\": {}, \"x\": {:?}, \"metrics\": {{{metrics}}}}}",
-            json_string(&self.experiment),
-            json_string(&self.series),
-            json_string(&self.x_name),
-            self.x,
-        )
+            .map(|(k, v)| (k.clone(), Value::Float(*v)))
+            .collect();
+        Value::obj(vec![
+            ("experiment", Value::Str(self.experiment.clone())),
+            ("series", Value::Str(self.series.clone())),
+            ("x_name", Value::Str(self.x_name.clone())),
+            ("x", Value::Float(self.x)),
+            ("metrics", Value::Map(metrics)),
+        ])
+        .to_json()
     }
 
     /// Parses a row from the JSON shape produced by [`Row::to_json`].
     ///
-    /// Field order is free, unknown fields are rejected; this is a
-    /// round-trip check for our own output, not a general JSON parser.
+    /// Field order is free, unknown fields are rejected.
     pub fn from_json(s: &str) -> Option<Row> {
-        let mut p = JsonCursor::new(s);
-        let mut experiment = None;
-        let mut series = None;
-        let mut x_name = None;
-        let mut x = None;
-        let mut metrics = None;
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "experiment" => experiment = Some(p.string()?),
-                "series" => series = Some(p.string()?),
-                "x_name" => x_name = Some(p.string()?),
-                "x" => x = Some(p.number()?),
-                "metrics" => {
-                    let mut map = BTreeMap::new();
-                    p.expect('{')?;
-                    if !p.try_expect('}') {
-                        loop {
-                            let k = p.string()?;
-                            p.expect(':')?;
-                            map.insert(k, p.number()?);
-                            if !p.try_expect(',') {
-                                break;
-                            }
-                        }
-                        p.expect('}')?;
-                    }
-                    metrics = Some(map);
-                }
-                _ => return None,
-            }
-            if !p.try_expect(',') {
-                break;
-            }
+        const KEYS: [&str; 5] = ["experiment", "series", "x_name", "x", "metrics"];
+        let v = Value::parse(s.trim()).ok()?;
+        if v.as_map()?.iter().any(|(k, _)| !KEYS.contains(&k.as_str())) {
+            return None;
         }
-        p.expect('}')?;
+        let metrics = v
+            .field("metrics")
+            .ok()?
+            .as_map()?
+            .iter()
+            .map(|(k, m)| Some((k.clone(), m.as_f64()?)))
+            .collect::<Option<_>>()?;
         Some(Row {
-            experiment: experiment?,
-            series: series?,
-            x_name: x_name?,
-            x: x?,
-            metrics: metrics?,
+            experiment: v.field_str("experiment").ok()?.to_string(),
+            series: v.field_str("series").ok()?.to_string(),
+            x_name: v.field_str("x_name").ok()?.to_string(),
+            x: v.field_f64("x").ok()?,
+            metrics,
         })
     }
 }
@@ -119,84 +93,6 @@ pub fn rows_to_json_pretty(rows: &[Row]) -> String {
         .collect::<Vec<_>>()
         .join(",\n");
     format!("[\n{body}\n]")
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal cursor over the JSON subset [`Row::to_json`] emits.
-struct JsonCursor<'a> {
-    rest: &'a str,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(s: &'a str) -> JsonCursor<'a> {
-        JsonCursor { rest: s }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn expect(&mut self, c: char) -> Option<()> {
-        self.skip_ws();
-        self.rest = self.rest.strip_prefix(c)?;
-        Some(())
-    }
-
-    fn try_expect(&mut self, c: char) -> bool {
-        self.expect(c).is_some()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        loop {
-            let (i, c) = chars.next()?;
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Some(out);
-                }
-                '\\' => match chars.next()?.1 {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    'r' => out.push('\r'),
-                    _ => return None,
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<f64> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        let (num, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        num.parse().ok()
-    }
 }
 
 /// Pretty-prints rows as one aligned text table per experiment.
@@ -273,6 +169,9 @@ mod tests {
         let r = Row::new("t", "a\"b\\c\nd", "x", -1.5e-3, &[]);
         let back = Row::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
+        let control = Row::new("t", "a\u{1}b", "x", 1.0, &[]);
+        assert!(control.to_json().contains(r#""a\u0001b""#));
+        assert_eq!(Row::from_json(&control.to_json()), Some(control));
         let arr = rows_to_json_pretty(&[r.clone(), r]);
         assert!(arr.starts_with("[\n") && arr.ends_with("\n]"));
         assert_eq!(rows_to_json_pretty(&[]), "[]");

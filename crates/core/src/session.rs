@@ -855,7 +855,9 @@ impl<'a> Session<'a> {
     pub fn checkpoint<W: Write>(&mut self, out: &mut W) -> Result<(), RunError> {
         let t = Instant::now();
         let state = self.platform.save_state().ok_or_else(|| {
-            inv("platform does not support checkpointing (save_state returned None)")
+            SnapshotError::invalid(
+                "platform does not support checkpointing (save_state returned None)",
+            )
         })?;
         if self.frozen.is_none() {
             self.frozen = Some(self.encode_frozen()?);
@@ -929,7 +931,7 @@ impl<'a> Session<'a> {
         let dataset_v = snap.section("dataset")?;
         let fp = fingerprint_of(config_v, dataset_v);
         if fp != snap.fingerprint() {
-            return Err(inv(format!(
+            return Err(SnapshotError::invalid(format!(
                 "snapshot fingerprint {} does not match its own config+dataset ({fp})",
                 snap.fingerprint()
             ))
@@ -944,28 +946,28 @@ impl<'a> Session<'a> {
         let pending = dec_pending(snap.section("pending")?)?;
         let prob_cache = dec_prob_cache(snap.section("prob_cache")?)?;
         let state = dec_platform_state(snap.section("platform")?)?;
-        platform
-            .load_state(&state)
-            .map_err(|e| inv(format!("platform cannot restore this checkpoint: {e}")))?;
+        platform.load_state(&state).map_err(|e| {
+            SnapshotError::invalid(format!("platform cannot restore this checkpoint: {e}"))
+        })?;
 
         let p = snap.section("progress")?;
         let solver = config.build_solver();
         let mu = config.tasks_per_round().max(1);
         let mut session = Session {
-            budget: get_usize(p, "budget")?,
+            budget: p.field_usize("budget")?,
             mu,
-            rounds_before: get_usize(p, "rounds_before")?,
-            tasks_expired: get_usize(p, "tasks_expired")?,
-            tasks_retried: get_usize(p, "tasks_retried")?,
-            rounds_stalled: get_usize(p, "rounds_stalled")?,
-            idle_rounds: get_usize(p, "idle_rounds")?,
-            round_idx: get_usize(p, "round")?,
-            total_posted: get_usize(p, "total_posted")?,
-            total_answered: get_usize(p, "total_answered")?,
-            evals: get_u64(p, "evals")?,
-            finished: get_bool(p, "finished")?,
-            modeling_time: Duration::from_nanos(get_u64(p, "modeling_nanos")?),
-            prior_elapsed: Duration::from_nanos(get_u64(p, "elapsed_nanos")?),
+            rounds_before: p.field_usize("rounds_before")?,
+            tasks_expired: p.field_usize("tasks_expired")?,
+            tasks_retried: p.field_usize("tasks_retried")?,
+            rounds_stalled: p.field_usize("rounds_stalled")?,
+            idle_rounds: p.field_usize("idle_rounds")?,
+            round_idx: p.field_usize("round")?,
+            total_posted: p.field_usize("total_posted")?,
+            total_answered: p.field_usize("total_answered")?,
+            evals: p.field_u64("evals")?,
+            finished: p.field_bool("finished")?,
+            modeling_time: Duration::from_nanos(p.field_u64("modeling_nanos")?),
+            prior_elapsed: Duration::from_nanos(p.field_u64("elapsed_nanos")?),
             started: t,
             config,
             data,
@@ -1042,52 +1044,8 @@ impl<'a> Session<'a> {
 // shapes are part of the on-disk format (see DESIGN.md); changing any of
 // them requires bumping `bc_snapshot::FORMAT_VERSION`.
 
-fn inv(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError::Invalid(msg.into())
-}
-
 fn uint(n: usize) -> Value {
     Value::Int(n as i128)
-}
-
-fn get<'v>(v: &'v Value, key: &str) -> Result<&'v Value, SnapshotError> {
-    v.get(key)
-        .ok_or_else(|| inv(format!("missing key {key:?}")))
-}
-
-fn get_usize(v: &Value, key: &str) -> Result<usize, SnapshotError> {
-    get(v, key)?
-        .as_usize()
-        .ok_or_else(|| inv(format!("key {key:?} is not a usize")))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64, SnapshotError> {
-    get(v, key)?
-        .as_u64()
-        .ok_or_else(|| inv(format!("key {key:?} is not a u64")))
-}
-
-fn get_f64(v: &Value, key: &str) -> Result<f64, SnapshotError> {
-    get(v, key)?
-        .as_f64()
-        .ok_or_else(|| inv(format!("key {key:?} is not a float")))
-}
-
-fn get_bool(v: &Value, key: &str) -> Result<bool, SnapshotError> {
-    get(v, key)?
-        .as_bool()
-        .ok_or_else(|| inv(format!("key {key:?} is not a bool")))
-}
-
-fn get_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, SnapshotError> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| inv(format!("key {key:?} is not a string")))
-}
-
-fn as_list<'v>(v: &'v Value, what: &str) -> Result<&'v [Value], SnapshotError> {
-    v.as_list()
-        .ok_or_else(|| inv(format!("{what} must be a list")))
 }
 
 /// The run identity: a hash of the canonical config and dataset sections.
@@ -1108,18 +1066,18 @@ fn enc_vid(v: VarId) -> Value {
 }
 
 fn dec_vid(v: &Value) -> Result<VarId, SnapshotError> {
-    match as_list(v, "variable id")? {
+    match v.list("variable id")? {
         [o, a] => {
             let o = o
                 .as_u64()
                 .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| inv("variable object id out of range"))?;
+                .ok_or_else(|| SnapshotError::invalid("variable object id out of range"))?;
             let a = a
                 .as_u16()
-                .ok_or_else(|| inv("variable attr id out of range"))?;
+                .ok_or_else(|| SnapshotError::invalid("variable attr id out of range"))?;
             Ok(VarId::new(o, a))
         }
-        _ => Err(inv("variable id must be [object, attr]")),
+        _ => Err(SnapshotError::invalid("variable id must be [object, attr]")),
     }
 }
 
@@ -1144,7 +1102,11 @@ fn dec_op(s: &str) -> Result<CmpOp, SnapshotError> {
         "ge" => CmpOp::Ge,
         "eq" => CmpOp::Eq,
         "ne" => CmpOp::Ne,
-        other => return Err(inv(format!("unknown comparison operator {other:?}"))),
+        other => {
+            return Err(SnapshotError::invalid(format!(
+                "unknown comparison operator {other:?}"
+            )))
+        }
     })
 }
 
@@ -1159,12 +1121,12 @@ fn dec_operand(v: &Value) -> Result<Operand, SnapshotError> {
     if let Some(c) = v.get("c") {
         let c = c
             .as_u16()
-            .ok_or_else(|| inv("constant operand out of range"))?;
+            .ok_or_else(|| SnapshotError::invalid("constant operand out of range"))?;
         Ok(Operand::Const(c))
     } else if let Some(var) = v.get("v") {
         Ok(Operand::Var(dec_vid(var)?))
     } else {
-        Err(inv("operand must carry \"c\" or \"v\""))
+        Err(SnapshotError::invalid("operand must carry \"c\" or \"v\""))
     }
 }
 
@@ -1178,9 +1140,9 @@ fn enc_expr(e: &Expr) -> Value {
 
 fn dec_expr(v: &Value) -> Result<Expr, SnapshotError> {
     Ok(Expr::new(
-        dec_vid(get(v, "v")?)?,
-        dec_op(get_str(v, "op")?)?,
-        dec_operand(get(v, "rhs")?)?,
+        dec_vid(v.field("v")?)?,
+        dec_op(v.field_str("op")?)?,
+        dec_operand(v.field("rhs")?)?,
     ))
 }
 
@@ -1206,7 +1168,7 @@ fn dec_cond(v: &Value) -> Result<Condition, SnapshotError> {
             // already canonical, so the rebuild is an identity.
             let mut raw = Vec::with_capacity(clauses.len());
             for cl in clauses {
-                let exprs = as_list(cl, "clause")?;
+                let exprs = cl.list("clause")?;
                 raw.push(
                     exprs
                         .iter()
@@ -1216,7 +1178,9 @@ fn dec_cond(v: &Value) -> Result<Condition, SnapshotError> {
             }
             Ok(Condition::from_clauses(raw))
         }
-        _ => Err(inv("condition must be a bool or a clause list")),
+        _ => Err(SnapshotError::invalid(
+            "condition must be a bool or a clause list",
+        )),
     }
 }
 
@@ -1225,7 +1189,8 @@ fn enc_ctable(ctable: &CTable) -> Value {
 }
 
 fn dec_ctable(v: &Value) -> Result<CTable, SnapshotError> {
-    let conds = as_list(v, "ctable")?
+    let conds = v
+        .list("ctable")?
         .iter()
         .map(dec_cond)
         .collect::<Result<Vec<Condition>, SnapshotError>>()?;
@@ -1247,7 +1212,11 @@ fn dec_rel(s: &str) -> Result<Relation, SnapshotError> {
         "lt" => Relation::Lt,
         "eq" => Relation::Eq,
         "gt" => Relation::Gt,
-        other => return Err(inv(format!("unknown relation {other:?}"))),
+        other => {
+            return Err(SnapshotError::invalid(format!(
+                "unknown relation {other:?}"
+            )))
+        }
     })
 }
 
@@ -1293,30 +1262,41 @@ fn enc_store(store: &ConstraintStore) -> Value {
 }
 
 fn dec_store(v: &Value) -> Result<ConstraintStore, SnapshotError> {
-    let cards = as_list(get(v, "cards")?, "cards")?
+    let cards = v
+        .field("cards")?
+        .list("cards")?
         .iter()
-        .map(|c| c.as_u16().ok_or_else(|| inv("cardinality out of range")))
+        .map(|c| {
+            c.as_u16()
+                .ok_or_else(|| SnapshotError::invalid("cardinality out of range"))
+        })
         .collect::<Result<Vec<u16>, SnapshotError>>()?;
     let mut masks = BTreeMap::new();
-    for entry in as_list(get(v, "masks")?, "masks")? {
-        match as_list(entry, "mask entry")? {
+    for entry in v.field("masks")?.list("masks")? {
+        match entry.list("mask entry")? {
             [var, mask] => {
-                let mask = mask.as_u64().ok_or_else(|| inv("mask is not a u64"))?;
+                let mask = mask
+                    .as_u64()
+                    .ok_or_else(|| SnapshotError::invalid("mask is not a u64"))?;
                 masks.insert(dec_vid(var)?, mask);
             }
-            _ => return Err(inv("mask entry must be [var, mask]")),
+            _ => return Err(SnapshotError::invalid("mask entry must be [var, mask]")),
         }
     }
     let mut facts = BTreeMap::new();
-    for entry in as_list(get(v, "facts")?, "facts")? {
-        match as_list(entry, "fact entry")? {
+    for entry in v.field("facts")?.list("facts")? {
+        match entry.list("fact entry")? {
             [l, r, rel] => {
                 let rel = rel
                     .as_str()
-                    .ok_or_else(|| inv("fact relation is not a string"))?;
+                    .ok_or_else(|| SnapshotError::invalid("fact relation is not a string"))?;
                 facts.insert((dec_vid(l)?, dec_vid(r)?), dec_rel(rel)?);
             }
-            _ => return Err(inv("fact entry must be [left, right, relation]")),
+            _ => {
+                return Err(SnapshotError::invalid(
+                    "fact entry must be [left, right, relation]",
+                ))
+            }
         }
     }
     Ok(ConstraintStore::from_parts(cards, masks, facts))
@@ -1339,25 +1319,35 @@ fn enc_pmf_map<'m>(entries: impl Iterator<Item = (&'m VarId, &'m Pmf)>) -> Value
 
 fn dec_pmf_map(v: &Value) -> Result<BTreeMap<VarId, Pmf>, SnapshotError> {
     let mut out = BTreeMap::new();
-    for entry in as_list(v, "distribution map")? {
-        match as_list(entry, "distribution entry")? {
+    for entry in v.list("distribution map")? {
+        match entry.list("distribution entry")? {
             [var, probs] => {
-                let probs = as_list(probs, "pmf probabilities")?
+                let probs = probs
+                    .list("pmf probabilities")?
                     .iter()
-                    .map(|p| p.as_f64().ok_or_else(|| inv("pmf entry is not a float")))
+                    .map(|p| {
+                        p.as_f64()
+                            .ok_or_else(|| SnapshotError::invalid("pmf entry is not a float"))
+                    })
                     .collect::<Result<Vec<f64>, SnapshotError>>()?;
                 let total: f64 = probs.iter().sum();
                 if probs.is_empty()
                     || probs.iter().any(|p| !p.is_finite() || *p < 0.0)
                     || (total - 1.0).abs() >= 1e-6
                 {
-                    return Err(inv("pmf probabilities do not form a distribution"));
+                    return Err(SnapshotError::invalid(
+                        "pmf probabilities do not form a distribution",
+                    ));
                 }
                 // Exact restore: the serialized floats are bit-identical to
                 // the originals, so no renormalization happens here.
                 out.insert(dec_vid(var)?, Pmf::from_probs(probs));
             }
-            _ => return Err(inv("distribution entry must be [var, probs]")),
+            _ => {
+                return Err(SnapshotError::invalid(
+                    "distribution entry must be [var, probs]",
+                ))
+            }
         }
     }
     Ok(out)
@@ -1398,33 +1388,35 @@ fn enc_dataset(data: &Dataset) -> Value {
 }
 
 fn dec_dataset(v: &Value) -> Result<Dataset, SnapshotError> {
-    let name = get_str(v, "name")?;
+    let name = v.field_str("name")?;
     let mut domains = Vec::new();
-    for d in as_list(get(v, "domains")?, "domains")? {
-        let card = get(d, "card")?
+    for d in v.field("domains")?.list("domains")? {
+        let card = d
+            .field("card")?
             .as_u16()
-            .ok_or_else(|| inv("domain cardinality out of range"))?;
+            .ok_or_else(|| SnapshotError::invalid("domain cardinality out of range"))?;
         domains.push(
-            Domain::new(get_str(d, "name")?, card)
-                .map_err(|e| inv(format!("invalid domain: {e}")))?,
+            Domain::new(d.field_str("name")?, card)
+                .map_err(|e| SnapshotError::invalid(format!("invalid domain: {e}")))?,
         );
     }
     let mut rows = Vec::new();
-    for row in as_list(get(v, "rows")?, "rows")? {
+    for row in v.field("rows")?.list("rows")? {
         let mut cells = Vec::new();
-        for cell in as_list(row, "row")? {
+        for cell in row.list("row")? {
             cells.push(match cell {
                 Value::Null => None,
                 other => Some(
                     other
                         .as_u16()
-                        .ok_or_else(|| inv("cell value out of range"))?,
+                        .ok_or_else(|| SnapshotError::invalid("cell value out of range"))?,
                 ),
             });
         }
         rows.push(cells);
     }
-    Dataset::from_rows(name, domains, rows).map_err(|e| inv(format!("invalid dataset: {e}")))
+    Dataset::from_rows(name, domains, rows)
+        .map_err(|e| SnapshotError::invalid(format!("invalid dataset: {e}")))
 }
 
 // -- retry queue and probability cache ------------------------------------
@@ -1435,8 +1427,8 @@ fn enc_task(t: &Task) -> Value {
 
 fn dec_task(v: &Value) -> Result<Task, SnapshotError> {
     Ok(Task {
-        var: dec_vid(get(v, "v")?)?,
-        rhs: dec_operand(get(v, "rhs")?)?,
+        var: dec_vid(v.field("v")?)?,
+        rhs: dec_operand(v.field("rhs")?)?,
     })
 }
 
@@ -1456,13 +1448,13 @@ fn enc_pending(pending: &[PendingTask]) -> Value {
 }
 
 fn dec_pending(v: &Value) -> Result<Vec<PendingTask>, SnapshotError> {
-    as_list(v, "pending queue")?
+    v.list("pending queue")?
         .iter()
         .map(|p| {
             Ok(PendingTask {
-                task: dec_task(get(p, "task")?)?,
-                attempts: get_usize(p, "attempts")?,
-                eligible_round: get_usize(p, "eligible_round")?,
+                task: dec_task(p.field("task")?)?,
+                attempts: p.field_usize("attempts")?,
+                eligible_round: p.field_usize("eligible_round")?,
             })
         })
         .collect()
@@ -1479,19 +1471,23 @@ fn enc_prob_cache(cache: &BTreeMap<ObjectId, f64>) -> Value {
 
 fn dec_prob_cache(v: &Value) -> Result<BTreeMap<ObjectId, f64>, SnapshotError> {
     let mut out = BTreeMap::new();
-    for entry in as_list(v, "probability cache")? {
-        match as_list(entry, "cache entry")? {
+    for entry in v.list("probability cache")? {
+        match entry.list("cache entry")? {
             [o, p] => {
                 let o = o
                     .as_u64()
                     .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| inv("cached object id out of range"))?;
+                    .ok_or_else(|| SnapshotError::invalid("cached object id out of range"))?;
                 let p = p
                     .as_f64()
-                    .ok_or_else(|| inv("cached probability is not a float"))?;
+                    .ok_or_else(|| SnapshotError::invalid("cached probability is not a float"))?;
                 out.insert(ObjectId(o), p);
             }
-            _ => return Err(inv("cache entry must be [object, probability]")),
+            _ => {
+                return Err(SnapshotError::invalid(
+                    "cache entry must be [object, probability]",
+                ))
+            }
         }
     }
     Ok(out)
@@ -1504,12 +1500,15 @@ fn enc_rng(rng: &[u64; 4]) -> Value {
 }
 
 fn dec_rng(v: &Value) -> Result<[u64; 4], SnapshotError> {
-    match as_list(v, "rng state")? {
+    match v.list("rng state")? {
         [a, b, c, d] => {
-            let word = |w: &Value| w.as_u64().ok_or_else(|| inv("rng word is not a u64"));
+            let word = |w: &Value| {
+                w.as_u64()
+                    .ok_or_else(|| SnapshotError::invalid("rng word is not a u64"))
+            };
             Ok([word(a)?, word(b)?, word(c)?, word(d)?])
         }
-        _ => Err(inv("rng state must be four words")),
+        _ => Err(SnapshotError::invalid("rng state must be four words")),
     }
 }
 
@@ -1524,10 +1523,10 @@ fn enc_crowd_stats(s: &CrowdStats) -> Value {
 
 fn dec_crowd_stats(v: &Value) -> Result<CrowdStats, SnapshotError> {
     Ok(CrowdStats {
-        tasks_posted: get_usize(v, "tasks_posted")?,
-        rounds: get_usize(v, "rounds")?,
-        worker_answers: get_usize(v, "worker_answers")?,
-        money_spent: get_u64(v, "money_spent")?,
+        tasks_posted: v.field_usize("tasks_posted")?,
+        rounds: v.field_usize("rounds")?,
+        worker_answers: v.field_usize("worker_answers")?,
+        money_spent: v.field_u64("money_spent")?,
     })
 }
 
@@ -1583,38 +1582,40 @@ fn enc_platform_state(state: &PlatformState) -> Value {
 }
 
 fn dec_platform_state(v: &Value) -> Result<PlatformState, SnapshotError> {
-    match get_str(v, "kind")? {
+    match v.field_str("kind")? {
         "simulated" => {
             let mut log = Vec::new();
-            for a in as_list(get(v, "log")?, "answer log")? {
+            for a in v.field("log")?.list("answer log")? {
                 log.push(TaskAnswer {
-                    task: dec_task(get(a, "task")?)?,
-                    relation: dec_rel(get_str(a, "rel")?)?,
+                    task: dec_task(a.field("task")?)?,
+                    relation: dec_rel(a.field_str("rel")?)?,
                 });
             }
             Ok(PlatformState::Simulated {
-                rng: dec_rng(get(v, "rng")?)?,
-                stats: dec_crowd_stats(get(v, "stats")?)?,
-                escalated: get_usize(v, "escalated")?,
+                rng: dec_rng(v.field("rng")?)?,
+                stats: dec_crowd_stats(v.field("stats")?)?,
+                escalated: v.field_usize("escalated")?,
                 log,
             })
         }
         "faulty" => {
-            let faults = get(v, "faults")?;
+            let faults = v.field("faults")?;
             Ok(PlatformState::Faulty {
-                rng: dec_rng(get(v, "rng")?)?,
-                workforce: get_f64(v, "workforce")?,
-                overlay: dec_crowd_stats(get(v, "overlay")?)?,
+                rng: dec_rng(v.field("rng")?)?,
+                workforce: v.field_f64("workforce")?,
+                overlay: dec_crowd_stats(v.field("overlay")?)?,
                 faults: FaultStats {
-                    expired_injected: get_usize(faults, "expired")?,
-                    spam_injected: get_usize(faults, "spam")?,
-                    duplicates_injected: get_usize(faults, "duplicates")?,
-                    straggler_rounds: get_usize(faults, "straggler_rounds")?,
+                    expired_injected: faults.field_usize("expired")?,
+                    spam_injected: faults.field_usize("spam")?,
+                    duplicates_injected: faults.field_usize("duplicates")?,
+                    straggler_rounds: faults.field_usize("straggler_rounds")?,
                 },
-                inner: Box::new(dec_platform_state(get(v, "inner")?)?),
+                inner: Box::new(dec_platform_state(v.field("inner")?)?),
             })
         }
-        other => Err(inv(format!("unknown platform state kind {other:?}"))),
+        other => Err(SnapshotError::invalid(format!(
+            "unknown platform state kind {other:?}"
+        ))),
     }
 }
 
@@ -1631,10 +1632,10 @@ fn enc_learn(l: &LearnConfig) -> Value {
 
 fn dec_learn(v: &Value) -> Result<LearnConfig, SnapshotError> {
     Ok(LearnConfig {
-        max_parents: get_usize(v, "max_parents")?,
-        laplace: get_f64(v, "laplace")?,
-        max_rows_for_scoring: get_usize(v, "max_rows_for_scoring")?,
-        max_iterations: get_usize(v, "max_iterations")?,
+        max_parents: v.field_usize("max_parents")?,
+        laplace: v.field_f64("laplace")?,
+        max_rows_for_scoring: v.field_usize("max_rows_for_scoring")?,
+        max_iterations: v.field_usize("max_iterations")?,
     })
 }
 
@@ -1720,86 +1721,102 @@ fn enc_config(c: &BayesCrowdConfig) -> Value {
 }
 
 fn dec_config(v: &Value) -> Result<BayesCrowdConfig, SnapshotError> {
-    let strategy_v = get(v, "strategy")?;
-    let strategy = match get_str(strategy_v, "kind")? {
+    let strategy_v = v.field("strategy")?;
+    let strategy = match strategy_v.field_str("kind")? {
         "fbs" => TaskStrategy::Fbs,
         "ubs" => TaskStrategy::Ubs,
         "hhs" => TaskStrategy::Hhs {
-            m: get_usize(strategy_v, "m")?,
+            m: strategy_v.field_usize("m")?,
         },
-        other => return Err(inv(format!("unknown strategy {other:?}"))),
+        other => {
+            return Err(SnapshotError::invalid(format!(
+                "unknown strategy {other:?}"
+            )))
+        }
     };
-    let ranking_v = get(v, "ranking")?;
-    let ranking = match get_str(ranking_v, "kind")? {
+    let ranking_v = v.field("ranking")?;
+    let ranking = match ranking_v.field_str("kind")? {
         "entropy" => ObjectRanking::Entropy,
         "random" => ObjectRanking::Random {
-            seed: get_u64(ranking_v, "seed")?,
+            seed: ranking_v.field_u64("seed")?,
         },
-        other => return Err(inv(format!("unknown ranking {other:?}"))),
+        other => return Err(SnapshotError::invalid(format!("unknown ranking {other:?}"))),
     };
-    let solver = match get_str(v, "solver")? {
+    let solver = match v.field_str("solver")? {
         "adpll" => SolverKind::Adpll,
         "naive" => SolverKind::Naive,
         "montecarlo" => SolverKind::MonteCarlo,
-        other => return Err(inv(format!("unknown solver {other:?}"))),
+        other => return Err(SnapshotError::invalid(format!("unknown solver {other:?}"))),
     };
-    let branch_heuristic = match get_str(v, "branch_heuristic")? {
+    let branch_heuristic = match v.field_str("branch_heuristic")? {
         "most-frequent" => BranchHeuristic::MostFrequent,
         "first" => BranchHeuristic::First,
-        other => return Err(inv(format!("unknown branch heuristic {other:?}"))),
+        other => {
+            return Err(SnapshotError::invalid(format!(
+                "unknown branch heuristic {other:?}"
+            )))
+        }
     };
-    let dominators = match get_str(v, "dominators")? {
+    let dominators = match v.field_str("dominators")? {
         "fast-index" => DominatorStrategy::FastIndex,
         "baseline" => DominatorStrategy::Baseline,
-        other => return Err(inv(format!("unknown dominator strategy {other:?}"))),
+        other => {
+            return Err(SnapshotError::invalid(format!(
+                "unknown dominator strategy {other:?}"
+            )))
+        }
     };
-    let model_v = get(v, "model")?;
-    let em = match get(model_v, "em")? {
+    let model_v = v.field("model")?;
+    let em = match model_v.field("em")? {
         Value::Null => None,
         em => Some(EmConfig {
-            iterations: get_usize(em, "iterations")?,
-            max_missing_per_row: get_usize(em, "max_missing_per_row")?,
-            laplace: get_f64(em, "laplace")?,
+            iterations: em.field_usize("iterations")?,
+            max_missing_per_row: em.field_usize("max_missing_per_row")?,
+            laplace: em.field_f64("laplace")?,
         }),
     };
-    let search_v = get(model_v, "search")?;
-    let search = match get_str(search_v, "kind")? {
+    let search_v = model_v.field("search")?;
+    let search = match search_v.field_str("kind")? {
         "hill-climb" => StructureSearch::HillClimb,
         "anneal" => StructureSearch::Anneal(AnnealConfig {
-            learn: dec_learn(get(search_v, "learn")?)?,
-            initial_temperature: get_f64(search_v, "initial_temperature")?,
-            cooling: get_f64(search_v, "cooling")?,
-            moves: get_usize(search_v, "moves")?,
-            seed: get_u64(search_v, "seed")?,
+            learn: dec_learn(search_v.field("learn")?)?,
+            initial_temperature: search_v.field_f64("initial_temperature")?,
+            cooling: search_v.field_f64("cooling")?,
+            moves: search_v.field_usize("moves")?,
+            seed: search_v.field_u64("seed")?,
         }),
-        other => return Err(inv(format!("unknown structure search {other:?}"))),
+        other => {
+            return Err(SnapshotError::invalid(format!(
+                "unknown structure search {other:?}"
+            )))
+        }
     };
-    let retry_v = get(v, "retry")?;
+    let retry_v = v.field("retry")?;
     Ok(BayesCrowdConfig {
-        budget: get_usize(v, "budget")?,
-        latency: get_usize(v, "latency")?,
-        alpha: get_f64(v, "alpha")?,
+        budget: v.field_usize("budget")?,
+        latency: v.field_usize("latency")?,
+        alpha: v.field_f64("alpha")?,
         strategy,
         ranking,
         solver,
         branch_heuristic,
-        solver_caching: get_bool(v, "solver_caching")?,
+        solver_caching: v.field_bool("solver_caching")?,
         dominators,
         model: ModelConfig {
-            learn: dec_learn(get(model_v, "learn")?)?,
-            uniform_prior: get_bool(model_v, "uniform_prior")?,
+            learn: dec_learn(model_v.field("learn")?)?,
+            uniform_prior: model_v.field_bool("uniform_prior")?,
             em,
             search,
         },
-        conflict_free: get_bool(v, "conflict_free")?,
-        propagate_answers: get_bool(v, "propagate_answers")?,
-        parallel: get_bool(v, "parallel")?,
+        conflict_free: v.field_bool("conflict_free")?,
+        propagate_answers: v.field_bool("propagate_answers")?,
+        parallel: v.field_bool("parallel")?,
         retry: RetryPolicy {
-            max_attempts: get_usize(retry_v, "max_attempts")?,
-            escalate_workers: get_usize(retry_v, "escalate_workers")?,
-            backoff_base: get_usize(retry_v, "backoff_base")?,
+            max_attempts: retry_v.field_usize("max_attempts")?,
+            escalate_workers: retry_v.field_usize("escalate_workers")?,
+            backoff_base: retry_v.field_usize("backoff_base")?,
         },
-        answer_threshold: get_f64(v, "answer_threshold")?,
+        answer_threshold: v.field_f64("answer_threshold")?,
     })
 }
 

@@ -147,6 +147,58 @@ fn profile_flag_writes_a_parseable_span_tree() {
 }
 
 #[test]
+fn trace_flag_writes_a_dense_parseable_trace() {
+    let data = write_temp("tr_inc.csv", INCOMPLETE);
+    let complete = write_temp("tr_com.csv", COMPLETE);
+    let trace = std::env::temp_dir().join("bayescrowd-cli-tests/trace.jsonl");
+    let _ = std::fs::remove_file(&trace);
+    let out = cli()
+        .args([
+            "simulate",
+            "--data",
+            data.to_str().unwrap(),
+            "--complete",
+            complete.to_str().unwrap(),
+            "--alpha",
+            "1.0",
+            "--budget",
+            "12",
+            "--latency",
+            "6",
+            "--trace",
+            trace.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let stat = |key: &str| -> usize {
+        stdout
+            .split_whitespace()
+            .find_map(|w| w.strip_prefix(key)?.parse().ok())
+            .unwrap_or_else(|| panic!("no {key} in {stdout}"))
+    };
+    let (tasks, rounds) = (stat("tasks="), stat("rounds="));
+
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let mut last = None;
+    for (i, line) in text.lines().enumerate() {
+        let (seq, event) = bc_obs::Event::from_json_line(line)
+            .unwrap_or_else(|| panic!("unparseable line {i}: {line}"));
+        assert_eq!(seq, i as u64, "seq is not dense at line {i}");
+        last = Some(event);
+    }
+    match last {
+        Some(bc_obs::Event::RunFinished {
+            tasks_posted,
+            rounds: traced_rounds,
+            ..
+        }) => assert_eq!((tasks_posted, traced_rounds), (tasks, rounds), "{stdout}"),
+        other => panic!("trace does not end in RunFinished: {other:?}"),
+    }
+}
+
+#[test]
 fn killed_run_resumes_to_the_identical_report() {
     // Clean run writing checkpoints and a deterministic report; a second
     // run killed (process abort) after round 2; a third run resumed from
