@@ -16,8 +16,7 @@ use std::fmt::Write as _;
 /// Stores one counter per distinct value. The sample spaces we record
 /// (round sizes, propagation depths, trial timings) have few distinct
 /// values, so exact storage is cheaper than sketching and makes
-/// [`Histogram::quantile`] exact rather than bucket-approximate. A
-/// coarse log₂ view is still available via [`Histogram::buckets`].
+/// [`Histogram::quantile`] exact rather than bucket-approximate.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
     values: BTreeMap<u64, u64>,
@@ -102,25 +101,6 @@ impl Histogram {
     /// 99th percentile (nearest-rank).
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Occupancy per log₂ bucket, lowest first: bucket `i` holds samples
-    /// in `[2^(i-1), 2^i)`, bucket 0 holds zeros. Derived on demand from
-    /// the exact counts.
-    pub fn buckets(&self) -> Vec<u64> {
-        let mut buckets: Vec<u64> = Vec::new();
-        for (&value, &n) in &self.values {
-            let bucket = if value == 0 {
-                0
-            } else {
-                (64 - value.leading_zeros()) as usize
-            };
-            if buckets.len() <= bucket {
-                buckets.resize(bucket + 1, 0);
-            }
-            buckets[bucket] += n;
-        }
-        buckets
     }
 }
 
@@ -454,7 +434,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_by_log2() {
+    fn histogram_tracks_count_sum_and_extremes() {
         let mut h = Histogram::default();
         for v in [0, 1, 2, 3, 4, 8] {
             h.record(v);
@@ -464,8 +444,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 8);
         assert!((h.mean() - 3.0).abs() < 1e-12);
-        // buckets: [0], [1], [2..4), [4..8), [8..16)
-        assert_eq!(h.buckets(), &[1, 1, 2, 1, 1]);
     }
 
     #[test]
@@ -501,7 +479,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.buckets().is_empty());
     }
 
     #[test]

@@ -1,17 +1,12 @@
 //! Hierarchical profiling: nested spans, path-addressed accumulation,
 //! and a serializable [`ProfileReport`] tree.
 //!
-//! Two ways to feed a [`Profiler`]:
-//!
-//! * **Explicit spans** — [`Profiler::enter`] / [`Profiler::exit`] nest
-//!   relative to the innermost open span and time the enclosed work with
-//!   a monotonic clock. For ad-hoc instrumentation of straight-line code.
-//! * **Path records** — [`Profiler::record`] accrues externally measured
-//!   nanoseconds into an absolute `/`-separated path such as
-//!   `round/select/solve`, creating intermediate nodes as needed. This is
-//!   how [`RunProfiler`] folds an event stream into the canonical span
-//!   taxonomy without timing anything twice: every `nanos` it files was
-//!   already measured at the emission site.
+//! A [`Profiler`] is fed by path records: [`Profiler::record`] accrues
+//! externally measured nanoseconds into an absolute `/`-separated path
+//! such as `round/select/solve`, creating intermediate nodes as needed.
+//! This is how [`RunProfiler`] folds an event stream into the canonical
+//! span taxonomy without timing anything twice: every `nanos` it files was
+//! already measured at the emission site.
 //!
 //! The resulting [`ProfileReport`] renders as an indented text tree and
 //! as canonical single-line JSON (fixed key order, no whitespace) whose
@@ -22,7 +17,6 @@ use crate::event::{nanos_value, Event, RunPhase};
 use crate::sink::Observer;
 use bc_snapshot::{SnapshotError, Value};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 #[derive(Debug)]
 struct Node {
@@ -40,10 +34,6 @@ struct Node {
 #[derive(Debug)]
 pub struct Profiler {
     nodes: Vec<Node>,
-    /// Open explicit spans; `stack[0]` is always the root.
-    stack: Vec<usize>,
-    /// Start times for the open spans in `stack[1..]`.
-    starts: Vec<Instant>,
 }
 
 impl Profiler {
@@ -56,8 +46,6 @@ impl Profiler {
                 nanos: 0,
                 children: Vec::new(),
             }],
-            stack: vec![0],
-            starts: Vec::new(),
         }
     }
 
@@ -80,31 +68,8 @@ impl Profiler {
         idx
     }
 
-    /// Opens a span named `name` nested under the innermost open span and
-    /// starts its clock. Balance with [`Profiler::exit`].
-    pub fn enter(&mut self, name: &str) {
-        let top = *self.stack.last().expect("root span is never popped");
-        let idx = self.child(top, name);
-        self.stack.push(idx);
-        self.starts.push(Instant::now());
-    }
-
-    /// Closes the innermost open span, accruing its elapsed time and
-    /// bumping its count. A call with no open span is ignored (the root
-    /// cannot be exited).
-    pub fn exit(&mut self) {
-        let (Some(idx), Some(start)) = (
-            (self.stack.len() > 1).then(|| self.stack.pop().unwrap()),
-            self.starts.pop(),
-        ) else {
-            return;
-        };
-        self.nodes[idx].count += 1;
-        self.nodes[idx].nanos += start.elapsed().as_nanos();
-    }
-
     /// Accrues `nanos` and one call into the absolute `/`-separated
-    /// `path` (resolved from the root, not the open span), creating
+    /// `path` (resolved from the root), creating
     /// intermediate nodes as needed. The empty path addresses the root.
     pub fn record(&mut self, path: &str, nanos: u128) {
         self.record_with(path, nanos, 1);
@@ -417,22 +382,6 @@ mod tests {
         assert_eq!(r.node("round/select").unwrap().count, 2);
         assert_eq!(r.node("round/missing"), None);
         assert_eq!(r.node("").unwrap().name, "run");
-    }
-
-    #[test]
-    fn enter_exit_times_nested_spans() {
-        let mut p = Profiler::new("root");
-        p.enter("outer");
-        p.enter("inner");
-        p.exit();
-        p.exit();
-        p.exit(); // extra exit must not pop the root
-        p.enter("outer"); // re-entering merges into the same node
-        p.exit();
-        let r = p.report();
-        assert_eq!(r.node("outer").unwrap().count, 2);
-        assert_eq!(r.node("outer/inner").unwrap().count, 1);
-        assert_eq!(r.root().children.len(), 1);
     }
 
     #[test]

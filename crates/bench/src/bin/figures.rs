@@ -11,7 +11,7 @@ use bc_bench::{print_rows, rows_to_json_pretty, Row, Scale};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures [all | fig2 .. fig11 | table6 | ext_model | ext_ranking | ext_baselines | ext_faults | ext_phases]... [--scale small|paper] [--json PATH] [--trace PATH]"
+        "usage: figures [all | fig2 .. fig11 | table6 | ext_model | ext_ranking | ext_baselines | ext_faults | ext_phases | ext_ablations]... [--scale small|paper] [--json PATH] [--trace PATH]"
     );
     std::process::exit(2);
 }
@@ -72,6 +72,7 @@ fn main() {
             "ext_baselines" => experiments::ext_baselines(&scale),
             "ext_faults" => experiments::ext_faults(&scale),
             "ext_phases" => experiments::ext_phases(&scale),
+            "ext_ablations" => experiments::ext_ablations(&scale),
             _ => usage(),
         };
         rows.extend(produced);

@@ -113,6 +113,56 @@ pub fn fig2(scale: &Scale) -> Vec<Row> {
     rows
 }
 
+/// Times each solver over the open conditions of `w`'s initial c-table:
+/// one row per solver with its total time, the condition count and how
+/// many conditions it gave up on.
+fn solver_rows(
+    experiment: &str,
+    w: &Workload,
+    alpha: f64,
+    rate: f64,
+    solvers: Vec<(&str, Box<dyn Solver>)>,
+) -> Vec<Row> {
+    let ct = build_ctable(
+        &w.incomplete,
+        &CTableConfig {
+            alpha,
+            strategy: DominatorStrategy::FastIndex,
+        },
+    );
+    let model = MissingValueModel::learn(&w.incomplete, &ModelConfig::default());
+    let dists: VarDists = model.pmfs().iter().map(|(k, v)| (*k, v.clone())).collect();
+    let open = ct.open_objects();
+    let mut rows = Vec::new();
+    for (sname, solver) in solvers {
+        let t = Instant::now();
+        let mut skipped = 0usize;
+        for &o in &open {
+            if solver.probability(ct.condition(o), &dists).is_err() {
+                skipped += 1;
+            }
+        }
+        let elapsed = ms(t.elapsed());
+        rows.push(Row::new(
+            experiment,
+            format!("{}/{sname}", w.name),
+            "missing_rate",
+            rate,
+            &[
+                ("time_ms", elapsed),
+                ("conditions", open.len() as f64),
+                ("skipped", skipped as f64),
+            ],
+        ));
+        eprintln!(
+            "{experiment} {}/{sname} rate={rate}: {elapsed:.1} ms ({} conds, {skipped} skipped)",
+            w.name,
+            open.len()
+        );
+    }
+    rows
+}
+
 /// Figure 3: total probability-computation time over the initial c-table's
 /// open conditions, ADPLL vs Naive (plus the Monte-Carlo stand-in for
 /// ApproxCount), vs missing rate.
@@ -128,48 +178,13 @@ pub fn fig3(scale: &Scale) -> Vec<Row> {
             } else {
                 Workload::synthetic(n, rate, 43)
             };
-            let ct = build_ctable(
-                &w.incomplete,
-                &CTableConfig {
-                    alpha,
-                    strategy: DominatorStrategy::FastIndex,
-                },
-            );
-            let model = MissingValueModel::learn(&w.incomplete, &ModelConfig::default());
-            let dists: VarDists = model.pmfs().iter().map(|(k, v)| (*k, v.clone())).collect();
-            let open = ct.open_objects();
-
             let solvers: Vec<(&str, Box<dyn Solver>)> = vec![
                 ("ADPLL", Box::new(AdpllSolver::new())),
                 ("Naive", Box::new(NaiveSolver::with_limit(20_000_000))),
                 ("ApproxCount", Box::new(ApproxCountSolver::new(1_000, 7))),
                 ("MonteCarlo", Box::new(MonteCarloSolver::new(2_000, 7))),
             ];
-            for (sname, solver) in solvers {
-                let t = Instant::now();
-                let mut skipped = 0usize;
-                for &o in &open {
-                    if solver.probability(ct.condition(o), &dists).is_err() {
-                        skipped += 1;
-                    }
-                }
-                let elapsed = ms(t.elapsed());
-                rows.push(Row::new(
-                    "fig3",
-                    format!("{name}/{sname}"),
-                    "missing_rate",
-                    rate,
-                    &[
-                        ("time_ms", elapsed),
-                        ("conditions", open.len() as f64),
-                        ("skipped", skipped as f64),
-                    ],
-                ));
-                eprintln!(
-                    "fig3 {name}/{sname} rate={rate}: {elapsed:.1} ms ({} conds, {skipped} skipped)",
-                    open.len()
-                );
-            }
+            rows.extend(solver_rows("fig3", &w, alpha, rate, solvers));
         }
     }
     rows
@@ -753,6 +768,52 @@ pub fn ext_phases(scale: &Scale) -> Vec<Row> {
     rows
 }
 
+/// Extension experiment F: ablations. ADPLL with most-frequent-variable
+/// branching, without component caching, and with first-variable
+/// branching, over the open conditions of one NBA c-table; then BayesCrowd
+/// with its defaults, uniform priors, conflict-free batching off, and
+/// answer propagation off. The solver table is capped at 600 objects and
+/// keeps α = 0.01 at every scale, because first-variable branching grows
+/// steeply with both the table and α.
+pub fn ext_ablations(scale: &Scale) -> Vec<Row> {
+    use bc_solver::BranchHeuristic::{First, MostFrequent};
+    let rate = 0.1;
+    let w = Workload::nba(scale.nba_n.min(600), rate, 42);
+    let solvers = [
+        ("ADPLL-most_frequent", MostFrequent, true),
+        ("ADPLL-most_frequent-nocache", MostFrequent, false),
+        ("ADPLL-first_var", First, true),
+    ]
+    .map(|(name, heuristic, caching)| {
+        let solver: Box<dyn Solver> =
+            Box::new(AdpllSolver::with_heuristic(heuristic).with_caching(caching));
+        (name, solver)
+    });
+    let mut rows = solver_rows("ext_ablations", &w, 0.01, rate, solvers.into());
+
+    type Tweak = fn(&mut BayesCrowdConfig);
+    let variants: [(&str, Tweak); 4] = [
+        ("default", |_| {}),
+        ("uniform_prior", |c| c.model.uniform_prior = true),
+        ("no_conflict_free", |c| c.conflict_free = false),
+        ("no_propagation", |c| c.propagate_answers = false),
+    ];
+    for (name, tweak) in variants {
+        let mut config = default_config("NBA", scale);
+        tweak(&mut config);
+        let r = run_bayescrowd(&w, &config, 1.0, 7);
+        rows.push(Row::new(
+            "ext_ablations",
+            format!("NBA/BayesCrowd-{name}"),
+            "missing_rate",
+            rate,
+            &report_metrics(&r),
+        ));
+        eprintln!("ext_ablations {name}: {}", r.summary());
+    }
+    rows
+}
+
 /// Runs the paper-default NBA workload once with a JSON-lines trace sink
 /// attached, writing every event to `path`. Returns the event count.
 pub fn write_trace(scale: &Scale, path: &str) -> std::io::Result<u64> {
@@ -791,6 +852,7 @@ pub fn all(scale: &Scale) -> Vec<Row> {
     rows.extend(ext_baselines(scale));
     rows.extend(ext_faults(scale));
     rows.extend(ext_phases(scale));
+    rows.extend(ext_ablations(scale));
     rows
 }
 
@@ -820,6 +882,34 @@ mod tests {
         for r in &rows {
             assert!(r.metrics["time_ms"] >= 0.0);
         }
+    }
+
+    #[test]
+    fn ext_ablations_reports_every_variant() {
+        let scale = tiny_scale();
+        let rows = ext_ablations(&scale);
+        let row = |series: &str| {
+            rows.iter()
+                .find(|r| r.series == series)
+                .unwrap_or_else(|| panic!("missing row {series}"))
+        };
+        let adpll = ["most_frequent", "most_frequent-nocache", "first_var"]
+            .map(|v| row(&format!("NBA/ADPLL-{v}")).metrics["conditions"]);
+        assert!(adpll[0] > 0.0, "the ablation table has open conditions");
+        assert_eq!(adpll, [adpll[0]; 3]);
+        for v in [
+            "default",
+            "uniform_prior",
+            "no_conflict_free",
+            "no_propagation",
+        ] {
+            let r = row(&format!("NBA/BayesCrowd-{v}"));
+            assert!(
+                r.metrics["tasks"] <= scale.nba_budget as f64,
+                "{v} overspent"
+            );
+        }
+        assert_eq!(rows.len(), 7);
     }
 
     #[test]

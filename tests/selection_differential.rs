@@ -1,7 +1,8 @@
 //! Differential checks of task selection at a scale the possible-worlds
 //! oracle cannot reach (about 1,000 NBA-like objects): the sweep memo
 //! against per-call ADPLL, the one-solve utility against the two-solve
-//! formula, and the parallel probability batch against the sequential one.
+//! formula, and the parallel probability batch and the uncached solver
+//! against the sequential cached run.
 
 use bayescrowd::prelude::*;
 use bayescrowd::selection::{rank_objects, try_assemble_round};
@@ -39,13 +40,14 @@ impl Solver for PerCall {
     }
 }
 
-fn nba_config(parallel: bool) -> BayesCrowdConfig {
+fn nba_config(parallel: bool, caching: bool) -> BayesCrowdConfig {
     BayesCrowdConfig::builder()
         .budget(50)
         .latency(5)
         .alpha(0.01)
         .strategy(TaskStrategy::Hhs { m: 15 })
         .parallel(parallel)
+        .solver_caching(caching)
         .build()
         .expect("valid configuration")
 }
@@ -61,7 +63,7 @@ fn nba_instance(seed: u64) -> (Dataset, Dataset) {
 fn first_round_state(seed: u64) -> (CTable, VarDists, Vec<(ObjectId, f64)>) {
     let (complete, incomplete) = nba_instance(seed);
     let mut platform = SimulatedPlatform::new(GroundTruthOracle::new(complete), 0.95, seed);
-    let session = BayesCrowd::new(nba_config(false))
+    let session = BayesCrowd::new(nba_config(false, true))
         .session(&incomplete, &mut platform)
         .expect("modeling succeeds");
     let (ctable, dists) = (session.ctable().clone(), session.dists().clone());
@@ -201,33 +203,37 @@ fn assert_same_report(a: &RunReport, b: &RunReport) {
 }
 
 #[test]
-fn parallel_run_reports_what_the_sequential_run_reports() {
+fn parallel_and_uncached_runs_report_what_the_sequential_cached_run_reports() {
     let (complete, incomplete) = nba_instance(11);
-    let run = |parallel: bool| {
+    let run = |parallel: bool, caching: bool| {
         let mut platform =
             SimulatedPlatform::new(GroundTruthOracle::new(complete.clone()), 0.95, 5);
         let mut metrics = MetricsRecorder::new();
-        let report = BayesCrowd::new(nba_config(parallel))
+        let report = BayesCrowd::new(nba_config(parallel, caching))
             .try_run(&incomplete, &mut platform, &mut metrics)
             .expect("the run succeeds");
         (report, metrics)
     };
-    let (sequential, _) = run(false);
-    let (parallel, metrics) = run(true);
-    // The parallel batch path only starts above 64 objects.
-    let largest_batch = metrics
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::ProbabilityBatch { objects, .. } => Some(*objects),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    assert!(
-        largest_batch >= 65,
-        "largest batch: {largest_batch} objects"
-    );
+    let (sequential, _) = run(false, true);
     assert!(sequential.crowd.tasks_posted > 0);
-    assert_same_report(&sequential, &parallel);
+    for (parallel, caching) in [(true, true), (false, false)] {
+        let (report, metrics) = run(parallel, caching);
+        if parallel {
+            // The parallel batch path only starts above 64 objects.
+            let largest_batch = metrics
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::ProbabilityBatch { objects, .. } => Some(*objects),
+                    _ => None,
+                })
+                .max()
+                .unwrap_or(0);
+            assert!(
+                largest_batch >= 65,
+                "largest batch: {largest_batch} objects"
+            );
+        }
+        assert_same_report(&sequential, &report);
+    }
 }
