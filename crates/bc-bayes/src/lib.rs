@@ -14,7 +14,8 @@
 //!   Laplace-smoothed maximum-likelihood parameter fitting,
 //! * [`em`] — expectation-maximization parameter refinement over the
 //!   *incomplete* rows (listwise deletion starves at high missing rates),
-//! * [`infer`] — exact inference by variable elimination,
+//! * [`infer`] — exact inference by variable elimination on factors built
+//!   once per network,
 //! * [`joint`] — the exact joint over independent per-cell pmfs on small
 //!   domains (the possible-worlds oracle's weighting),
 //! * [`discretize`] — equi-width/equi-depth binning of continuous columns
@@ -126,9 +127,10 @@ impl BayesianNetwork {
     }
 
     /// Exact posterior marginal `P(target | evidence)` by variable
-    /// elimination. `evidence` maps node index to observed value.
+    /// elimination. `evidence` maps node index to observed value. Builds an
+    /// [`infer::Engine`] for the one query; many queries should share one.
     pub fn posterior(&self, target: usize, evidence: &[(usize, u16)]) -> Pmf {
-        infer::posterior(self, target, evidence)
+        infer::Engine::new(self).posterior(target, evidence)
     }
 }
 

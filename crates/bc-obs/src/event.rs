@@ -100,6 +100,10 @@ pub enum Event {
         search_iters: usize,
         /// Training wall-clock time.
         nanos: u128,
+        /// The part of `nanos` spent inferring each missing cell's
+        /// conditional pmf. Traces written before this field existed read
+        /// it as 0.
+        infer_nanos: u128,
     },
     /// The c-table was built.
     CTableBuilt {
@@ -298,8 +302,10 @@ impl Event {
     pub fn redact_timing(&self) -> Event {
         let mut e = self.clone();
         match &mut e {
-            Event::ModelTrained { nanos, .. }
-            | Event::CTableBuilt { nanos, .. }
+            Event::ModelTrained {
+                nanos, infer_nanos, ..
+            } => (*nanos, *infer_nanos) = (0, 0),
+            Event::CTableBuilt { nanos, .. }
             | Event::ProbabilityBatch { nanos, .. }
             | Event::UtilitySweep { nanos, .. }
             | Event::Propagated { nanos, .. }
@@ -358,6 +364,7 @@ impl Event {
                 em_iters,
                 search_iters,
                 nanos,
+                infer_nanos,
             } => entries.extend([
                 // JSON has no NaN/Inf; traces should stay parseable regardless.
                 (
@@ -368,6 +375,7 @@ impl Event {
                 ("em_iters", u(*em_iters)),
                 ("search_iters", u(*search_iters)),
                 ("nanos", nanos_value(*nanos)),
+                ("infer_nanos", nanos_value(*infer_nanos)),
             ]),
             Event::CTableBuilt {
                 objects,
@@ -536,6 +544,10 @@ impl Event {
                 em_iters: v.field_usize("em_iters")?,
                 search_iters: v.field_usize("search_iters")?,
                 nanos: v.field_u128("nanos")?,
+                infer_nanos: match v.get("infer_nanos") {
+                    Some(_) => v.field_u128("infer_nanos")?,
+                    None => 0,
+                },
             },
             "CTableBuilt" => Event::CTableBuilt {
                 objects: v.field_usize("objects")?,
@@ -649,6 +661,7 @@ mod tests {
                 em_iters: 0,
                 search_iters: 3,
                 nanos: 1234,
+                infer_nanos: 1000,
             },
             Event::CTableBuilt {
                 objects: 5,
@@ -733,9 +746,12 @@ mod tests {
 
     /// What `to_json_line` wrote for `sample_events()` while traces kept a
     /// space after every `:` and `,`; traces written then must still parse.
+    /// (Those lines had no `infer_nanos`; the line below carries it so the
+    /// spacing check covers it, and `model_trained_without_infer_nanos_reads_zero`
+    /// covers its absence.)
     const SPACED_SAMPLE_LINES: [&str; 14] = [
         r#"{"seq": 0, "event": "RunStarted", "objects": 5, "attrs": 5, "missing_vars": 5, "budget": 6, "latency": 3}"#,
-        r#"{"seq": 1, "event": "ModelTrained", "bic": -12.5, "edges": 2, "em_iters": 0, "search_iters": 3, "nanos": 1234}"#,
+        r#"{"seq": 1, "event": "ModelTrained", "bic": -12.5, "edges": 2, "em_iters": 0, "search_iters": 3, "nanos": 1234, "infer_nanos": 1000}"#,
         r#"{"seq": 2, "event": "CTableBuilt", "objects": 5, "open_objects": 3, "vars": 4, "exprs": 13, "pruned": 0, "candidates": 7, "bitset_words": 25, "nanos": 99}"#,
         r#"{"seq": 3, "event": "RoundStarted", "round": 1}"#,
         r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "branches": 17, "cache_hits": 2, "fallbacks": 1, "nanos": 777}"#,
@@ -772,6 +788,25 @@ mod tests {
             let compact = spaced.replace(": ", ":").replace(", ", ",");
             assert_eq!(e.to_json_line(i as u64), compact);
         }
+    }
+
+    #[test]
+    fn model_trained_without_infer_nanos_reads_zero() {
+        let line = r#"{"seq":1,"event":"ModelTrained","bic":-12.5,"edges":2,"em_iters":0,"search_iters":3,"nanos":1234}"#;
+        assert_eq!(
+            Event::from_json_line(line),
+            Some((
+                1,
+                Event::ModelTrained {
+                    bic: -12.5,
+                    edges: 2,
+                    em_iters: 0,
+                    search_iters: 3,
+                    nanos: 1234,
+                    infer_nanos: 0,
+                }
+            ))
+        );
     }
 
     #[test]
@@ -837,6 +872,16 @@ mod tests {
                 nanos: 0,
             }
         );
+        // Training loses both of its times.
+        match sample_events()[1].redact_timing() {
+            Event::ModelTrained {
+                edges,
+                nanos,
+                infer_nanos,
+                ..
+            } => assert_eq!((edges, nanos, infer_nanos), (2, 0, 0)),
+            other => panic!("wrong variant: {other:?}"),
+        }
         // Events without timing are untouched.
         let s = Event::RoundStarted { round: 7 };
         assert_eq!(s.redact_timing(), s);
@@ -869,6 +914,7 @@ mod tests {
             em_iters: 0,
             search_iters: 0,
             nanos: 0,
+            infer_nanos: 0,
         };
         let line = e.to_json_line(0);
         assert!(line.contains("\"bic\":0.0"), "{line}");

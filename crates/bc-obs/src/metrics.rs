@@ -188,6 +188,9 @@ pub struct Counters {
     pub utility_cache_hits: u64,
     /// Utility solves the ADPLL fallback redid.
     pub utility_fallbacks: u64,
+    /// Wall-clock nanoseconds the modeling step spent inferring per-cell
+    /// pmfs. From `ModelTrained`.
+    pub infer_nanos: u64,
 }
 
 /// An [`Observer`] that aggregates the event stream in memory.
@@ -334,6 +337,9 @@ impl Observer for MetricsRecorder {
         match event {
             Event::SpanFinished { phase, nanos } => {
                 *self.phase_nanos.entry(*phase).or_insert(0) += nanos;
+            }
+            Event::ModelTrained { infer_nanos, .. } => {
+                self.counters.infer_nanos += saturating_u64(*infer_nanos);
             }
             Event::ProbabilityBatch {
                 objects,
@@ -577,6 +583,22 @@ mod tests {
         assert_eq!(c.solver_fallbacks, 0);
         assert_eq!(rec.attributed_nanos(), 0);
         assert!(rec.summary().contains("utility evals 10"));
+    }
+
+    #[test]
+    fn model_inference_time_is_counted() {
+        let mut rec = MetricsRecorder::new();
+        rec.event(&Event::ModelTrained {
+            bic: -3.0,
+            edges: 1,
+            em_iters: 0,
+            search_iters: 1,
+            nanos: 800,
+            infer_nanos: 600,
+        });
+        assert_eq!(rec.counters().infer_nanos, 600);
+        // Inference is part of the model span, not a phase of its own.
+        assert_eq!(rec.attributed_nanos(), 0);
     }
 
     #[test]

@@ -256,6 +256,7 @@ fn solve_path(phase: RunPhase) -> String {
 /// run
 /// ├── model            (SpanFinished)
 /// │   └── train        (ModelTrained; em/search iteration counts below)
+/// │       └── infer    (per-cell pmfs; count = RunStarted's missing cells)
 /// ├── ctable           (SpanFinished)
 /// │   └── build        (CTableBuilt)
 /// ├── round            (RoundFinished; count = rounds)
@@ -279,6 +280,8 @@ fn solve_path(phase: RunPhase) -> String {
 #[derive(Debug, Default)]
 pub struct RunProfiler {
     profiler: Profiler,
+    /// Missing cells of the run (from `RunStarted`): one inference each.
+    missing_vars: u64,
 }
 
 impl RunProfiler {
@@ -296,6 +299,9 @@ impl RunProfiler {
 impl Observer for RunProfiler {
     fn event(&mut self, event: &Event) {
         match event {
+            Event::RunStarted { missing_vars, .. } => {
+                self.missing_vars = *missing_vars as u64;
+            }
             Event::SpanFinished { phase, nanos } => {
                 self.profiler.record(phase_path(*phase), *nanos);
             }
@@ -303,6 +309,7 @@ impl Observer for RunProfiler {
                 em_iters,
                 search_iters,
                 nanos,
+                infer_nanos,
                 ..
             } => {
                 self.profiler.record("model/train", *nanos);
@@ -310,6 +317,8 @@ impl Observer for RunProfiler {
                     .record_with("model/train/em", 0, *em_iters as u64);
                 self.profiler
                     .record_with("model/train/search", 0, *search_iters as u64);
+                self.profiler
+                    .record_with("model/train/infer", *infer_nanos, self.missing_vars);
             }
             Event::CTableBuilt { nanos, .. } => {
                 self.profiler.record("ctable/build", *nanos);
@@ -452,12 +461,20 @@ mod tests {
     #[test]
     fn run_profiler_maps_events_onto_taxonomy() {
         let mut rp = RunProfiler::new();
+        rp.event(&Event::RunStarted {
+            objects: 10,
+            attrs: 3,
+            missing_vars: 6,
+            budget: 4,
+            latency: 2,
+        });
         rp.event(&Event::ModelTrained {
             bic: -1.0,
             edges: 2,
             em_iters: 4,
             search_iters: 3,
             nanos: 500,
+            infer_nanos: 350,
         });
         rp.event(&Event::SpanFinished {
             phase: RunPhase::Model,
@@ -527,6 +544,8 @@ mod tests {
         assert_eq!(r.node("model/train").unwrap().nanos, 500);
         assert_eq!(r.node("model/train/em").unwrap().count, 4);
         assert_eq!(r.node("model/train/search").unwrap().count, 3);
+        let infer = r.node("model/train/infer").unwrap();
+        assert_eq!((infer.count, infer.nanos), (6, 350));
         assert_eq!(r.node("round").unwrap().nanos, 900);
         let solve = r.node("round/select/solve").unwrap();
         assert_eq!(solve.nanos, 200);

@@ -303,6 +303,7 @@ impl<'a> Session<'a> {
             em_iters: model_stats.em_iters,
             search_iters: model_stats.search_iters,
             nanos: model_span.elapsed_nanos(),
+            infer_nanos: model_stats.infer_nanos,
         });
         model_span.finish(obs);
 

@@ -1,8 +1,9 @@
 //! Differential checks of task selection at a scale the possible-worlds
-//! oracle cannot reach (about 1,000 NBA-like objects): the sweep memo
-//! against per-call ADPLL, the one-solve utility against the two-solve
-//! formula, and the parallel probability batch and the uncached solver
-//! against the sequential cached run.
+//! oracle cannot reach (1,000 NBA-like objects, and 4,000 in the ignored
+//! variants: `cargo test --release --test selection_differential --
+//! --ignored`): the sweep memo against per-call ADPLL, the one-solve
+//! utility against the two-solve formula, and the parallel probability
+//! batch and the uncached solver against the sequential cached run.
 
 use bayescrowd::prelude::*;
 use bayescrowd::selection::{rank_objects, try_assemble_round};
@@ -16,7 +17,9 @@ use bc_solver::utility::{marginal_utility_with_prior, object_entropy};
 use bc_solver::{AdpllSolver, SolveStats, Solver, SolverError, VarDists};
 use std::collections::{BTreeSet, HashMap};
 
+/// The default table size; the ignored variants run at `LARGE_N`.
 const N: usize = 1_000;
+const LARGE_N: usize = 4_000;
 
 /// ADPLL with its per-call cache only: it keeps the trait's default
 /// `probability_in_sweep`, which ignores the sweep memo.
@@ -52,16 +55,16 @@ fn nba_config(parallel: bool, caching: bool) -> BayesCrowdConfig {
         .expect("valid configuration")
 }
 
-fn nba_instance(seed: u64) -> (Dataset, Dataset) {
-    let complete = nba_like(N, seed);
+fn nba_instance(n: usize, seed: u64) -> (Dataset, Dataset) {
+    let complete = nba_like(n, seed);
     let (incomplete, _) = inject_mcar(&complete, 0.1, seed + 1);
     (complete, incomplete)
 }
 
 /// The modeled state a session starts its first round from: c-table,
 /// distributions and every open object's `Pr(φ)`.
-fn first_round_state(seed: u64) -> (CTable, VarDists, Vec<(ObjectId, f64)>) {
-    let (complete, incomplete) = nba_instance(seed);
+fn first_round_state(n: usize, seed: u64) -> (CTable, VarDists, Vec<(ObjectId, f64)>) {
+    let (complete, incomplete) = nba_instance(n, seed);
     let mut platform = SimulatedPlatform::new(GroundTruthOracle::new(complete), 0.95, seed);
     let session = BayesCrowd::new(nba_config(false, true))
         .session(&incomplete, &mut platform)
@@ -96,7 +99,17 @@ fn two_solve_utility(cond: &Condition, e: &Expr, dists: &VarDists, p_phi: f64) -
 
 #[test]
 fn memo_sweep_utilities_match_per_call_and_two_solve_utilities() {
-    let (ctable, dists, probs) = first_round_state(11);
+    memo_matches_per_call_and_two_solve(N);
+}
+
+#[test]
+#[ignore = "4,000 objects: run in release with --ignored"]
+fn memo_sweep_utilities_match_per_call_and_two_solve_utilities_4k() {
+    memo_matches_per_call_and_two_solve(LARGE_N);
+}
+
+fn memo_matches_per_call_and_two_solve(n: usize) {
+    let (ctable, dists, probs) = first_round_state(n, 11);
     assert!(probs.len() >= 65, "only {} open objects", probs.len());
     let adpll = AdpllSolver::new();
     let mut sweep = Sweep::new(&adpll, &adpll, &dists);
@@ -142,8 +155,18 @@ fn memo_sweep_utilities_match_per_call_and_two_solve_utilities() {
 
 #[test]
 fn selected_batches_are_identical_with_and_without_the_memo() {
+    batches_match_with_and_without_the_memo(N);
+}
+
+#[test]
+#[ignore = "4,000 objects: run in release with --ignored"]
+fn selected_batches_are_identical_with_and_without_the_memo_4k() {
+    batches_match_with_and_without_the_memo(LARGE_N);
+}
+
+fn batches_match_with_and_without_the_memo(n: usize) {
     for seed in [11, 23] {
-        let (ctable, dists, probs) = first_round_state(seed);
+        let (ctable, dists, probs) = first_round_state(n, seed);
         let ranked = rank_objects(&probs, ObjectRanking::Entropy);
         let fallback = AdpllSolver::new();
         for strategy in [TaskStrategy::Hhs { m: 15 }, TaskStrategy::Ubs] {
@@ -204,7 +227,7 @@ fn assert_same_report(a: &RunReport, b: &RunReport) {
 
 #[test]
 fn parallel_and_uncached_runs_report_what_the_sequential_cached_run_reports() {
-    let (complete, incomplete) = nba_instance(11);
+    let (complete, incomplete) = nba_instance(N, 11);
     let run = |parallel: bool, caching: bool| {
         let mut platform =
             SimulatedPlatform::new(GroundTruthOracle::new(complete.clone()), 0.95, 5);
